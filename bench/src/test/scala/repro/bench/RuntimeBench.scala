@@ -13,6 +13,9 @@ class RuntimeBench extends SparkSpec {
     val sizes = sys.env.get("ADAWAVE_BENCH_SIZES")
       .map(_.split(",").map(_.trim.toInt).toSeq)
       .getOrElse(Seq(7000, 14000, 28000, 56000, 112000))
+    // Discarded warm-up: the first call pays JIT and Spark start-up, which
+    // would inflate the first row, the growth gate's divisor.
+    RuntimeHarness.run(spark, sizes.take(1))
     val rows = RuntimeHarness.run(spark, sizes)
     println(RuntimeHarness.render(rows))
 

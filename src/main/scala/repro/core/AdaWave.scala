@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.UserDefinedFunction
+import scala.annotation.tailrec
 
 /** Configuration of the AdaWave pipeline.
   *
@@ -82,7 +83,7 @@ object AdaWave {
 
   def cluster(df: DataFrame, cols: Seq[String], cfg: AdaWaveConfig): AdaWaveResult = {
     val q = Grid.quantize(df, cols, cfg.bins)
-    run(q, 0, cfg, cols)
+    run(q, q.cells, 0, cfg, cols)
   }
 
   /** Fully parameter-free entry point. For d ≤ 2 this is the paper's
@@ -91,7 +92,8 @@ object AdaWave {
     * dimension: quantize once at a fine 64-bin grid, then merge cells
     * dyadically (a driver-side O(M) fold — Haar cells nest) until the
     * occupied-cell count drops below n/3, i.e. until cells hold enough
-    * points for densities to be meaningful.
+    * points for densities to be meaningful. Each level is coarsened once,
+    * and the last accepted level goes straight to the Haar transform.
     */
   def clusterAuto(df: DataFrame, cols: Seq[String], assignNoise: Boolean = false): AdaWaveResult = {
     val d = cols.size
@@ -100,30 +102,30 @@ object AdaWave {
     val fine = 64
     val q = Grid.quantize(df, cols, fine)
     val n = q.cells.values.sum
-    var cells = q.cells
-    var shift = 0
     // Look one level ahead: the transform downsamples once more, so the
     // resolution that matters for densities is bins/2.
-    while ((fine >> shift) > 4 && coarsen(cells).size > n / 3) {
-      cells = coarsen(cells)
-      shift += 1
-    }
+    @tailrec def calibrate(cells: Map[Vector[Int], Double], shift: Int): (Map[Vector[Int], Double], Int) =
+      if ((fine >> shift) <= 4) (cells, shift)
+      else {
+        val next = coarsen(cells)
+        if (next.size > n / 3) calibrate(next, shift + 1) else (cells, shift)
+      }
+    val (cells, shift) = calibrate(q.cells, 0)
     val cfg = AdaWaveConfig(bins = fine >> shift, levels = 1, family = Wavelet.Haar,
       diagonal = false, assignNoise = assignNoise)
-    run(q, shift, cfg, cols)
+    run(q, cells, shift, cfg, cols)
   }
 
-  /** Merge a sparse cell map one dyadic level coarser (Haar-nested). */
+  /** Merge a sparse cell map one dyadic level coarser (Haar-nested): the
+    * Haar low-pass with its 2^-d weight left out.
+    */
   def coarsen(cells: Map[Vector[Int], Double]): Map[Vector[Int], Double] =
-    cells.toSeq.groupMapReduce(_._1.map(_ >> 1))(_._2)(_ + _)
+    Wavelet.dyadicMerge(cells, 1, 1.0)
 
-  private def run(q: Quantized, coarsenShift: Int, cfg: AdaWaveConfig,
-                  cols: Seq[String]): AdaWaveResult = {
+  /** Steps 2–6 on `cells`, which is `q.cells` coarsened `coarsenShift` times. */
+  private def run(q: Quantized, cells: Map[Vector[Int], Double], coarsenShift: Int,
+                  cfg: AdaWaveConfig, cols: Seq[String]): AdaWaveResult = {
     val d = cols.size
-    // Step 1 happened in the caller; apply any auto-calibration coarsening.
-    var cells = q.cells
-    for (_ <- 0 until coarsenShift) cells = coarsen(cells)
-
     // Step 2: wavelet decomposition, average subband only.
     val transformed = Wavelet.transform(cells, d, cfg.family, cfg.levels)
 

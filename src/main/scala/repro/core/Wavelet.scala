@@ -86,12 +86,39 @@ object Wavelet {
     out.filter { case (_, v) => math.abs(v) > 1e-12 }.toMap
   }
 
-  /** `levels` rounds of the average-subband transform over all `d` dims. */
-  def transform(grid: Map[Cell, Double], d: Int, family: Family, levels: Int): Map[Cell, Double] = {
-    var g = grid
-    for (_ <- 0 until levels; dim <- 0 until d)
-      g = transformDim(g, dim, family.lowPass, family.center)
-    g
+  /** `levels` rounds of the average-subband transform over all `d` dims
+    * (`d` is the cells' dimension).
+    *
+    * Haar is one [[dyadicMerge]]: after `levels` rounds cell `p` lands in
+    * `p >> levels` with weight 2^-(d·levels), so the transformed cell is the
+    * mean of the 2^(d·levels) cells it covers. On integer counts every
+    * partial sum is an integer times a power of two, so this equals the
+    * chain of `d·levels` [[transformDim]] passes exactly. The other
+    * families run that chain.
+    */
+  def transform(grid: Map[Cell, Double], d: Int, family: Family, levels: Int): Map[Cell, Double] =
+    family match {
+      case Haar => dyadicMerge(grid, levels, math.scalb(1.0, -d * levels))
+      case _ =>
+        var g = grid
+        for (_ <- 0 until levels; dim <- 0 until d)
+          g = transformDim(g, dim, family.lowPass, family.center)
+        g
+    }
+
+  /** Sends every cell `p` to `p >> shift` in each dimension, sums the values
+    * that meet and scales each sum by `weight`. Only cells whose scaled sum
+    * is exactly 0 are dropped, so a lone point keeps its cell at any depth.
+    */
+  def dyadicMerge(grid: Map[Cell, Double], shift: Int, weight: Double): Map[Cell, Double] = {
+    val sums = mutable.HashMap.empty[Cell, Array[Double]]
+    for ((cell, v) <- grid) sums.getOrElseUpdate(cell.map(_ >> shift), Array(0.0))(0) += v
+    val out = Map.newBuilder[Cell, Double]
+    for ((cell, s) <- sums) {
+      val v = s(0) * weight
+      if (v != 0.0) out += cell -> v
+    }
+    out.result()
   }
 
   /** Dense 1-D reference implementation (tests compare sparse vs dense).

@@ -1,0 +1,58 @@
+package repro.core
+
+import repro.SparkSpec
+import repro.data.{ClusterData, UciLike}
+import scala.util.Random
+import scala.util.hashing.MurmurHash3
+
+/** Golden outputs on fixed seeds: `(numClusters, threshold, label hash)`
+  * must repeat exactly. A refactor of the driver-side grid stages must
+  * reproduce every row bit for bit, the threshold included.
+  */
+class GoldenSpec extends SparkSpec {
+
+  private def golden(name: String, x: Array[Array[Double]], expect: (Int, Double, Int))
+                    (call: (org.apache.spark.sql.DataFrame, Seq[String]) => AdaWaveResult): Unit =
+    test(s"golden: $name") {
+      val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+      val res = call(df, (0 until x(0).length).map(i => s"f$i"))
+      val labels = Array.ofDim[Int](x.length)
+      res.points.select("id", AdaWave.ClusterCol).collect()
+        .foreach(r => labels(r.getLong(0).toInt) = r.getInt(1))
+      val got = (res.numClusters, res.threshold, MurmurHash3.arrayHash(labels))
+      assert(got == expect, s"$name: got $got, want $expect")
+    }
+
+  private val uci = Map(
+    "Seeds" -> (UciLike.seeds(), (7, 0.02734375, -918835898)),
+    "Iris" -> (UciLike.iris(), (4, 0.59375, -1124009041)),
+    "Glass" -> (UciLike.glass(), (4, 0.0263671875, 609295071)),
+    "DUMDH" -> (UciLike.dumdh(), (8, 0.00103759765625, -1731282970)),
+    "HTRU2" -> (UciLike.htru2(), (4, 0.115234375, -253594472)),
+    "Dermatology" -> (UciLike.dermatology(), (13, 4.0745362639427185E-10, -1573118388)),
+    "Motor" -> (UciLike.motor(), (3, 1.0, 1605310674)),
+    "Wholesale" -> (UciLike.wholesale(), (4, 0.017578125, 571097845)))
+
+  for ((name, (ds, expect)) <- uci.toSeq.sortBy(_._1))
+    golden(s"clusterAuto on $name (d = ${ds.d})", UciLike.unitScale(ds.x), expect) {
+      (df, cols) => AdaWave.clusterAuto(df, cols, assignNoise = true)
+    }
+
+  for ((noise, expect) <- Seq(0.5 -> (59, 1.6796875, 2070008692), 0.8 -> (92, 3.6171875, 1113948600)))
+    golden(s"cluster on the running example at noise $noise",
+        ClusterData.runningExample(1400, noise, 7)._1, expect) {
+      (df, cols) => AdaWave.cluster(df, cols, AdaWaveConfig.auto(2))
+    }
+
+  /** The four 7-D Gaussians of `AdaWaveSpec`, clustered with Haar at 8 bins. */
+  private val gauss7 = {
+    val rnd = new Random(13)
+    val centers = Array.fill(4)(Array.fill(7)(rnd.nextDouble()))
+    for (c <- 0 until 4; _ <- 0 until 400)
+      yield Array.tabulate(7)(j => centers(c)(j) + rnd.nextGaussian() * 0.03)
+  }.toArray
+
+  golden("cluster on four 7-D Gaussians (Haar)", gauss7, (4, 0.78515625, 1728029500)) {
+    (df, cols) => AdaWave.cluster(df, cols, AdaWaveConfig.auto(7, assignNoise = true))
+  }
+}

@@ -124,6 +124,40 @@ class WaveletSpec extends AnyFunSuite {
     assert(math.abs(out.values.sum - 1.0) < 1e-9)
   }
 
+  /** Integer-count sparse grids with d in 1..33 and d·levels < 40, so the
+    * per-pass filter of `transformDim` never drops a cell.
+    */
+  private val countGrids: Gen[(Int, Int, Map[Cell, Double])] = for {
+    d <- Gen.chooseNum(1, 33)
+    levels <- Gen.chooseNum(1, math.min(3, 39 / d))
+    pts <- Gen.nonEmptyListOf(Gen.zip(Gen.listOfN(d, Gen.chooseNum(0, 63)), Gen.chooseNum(1, 5)))
+  } yield (d, levels, pts.groupMapReduce(_._1.toVector)(_._2.toDouble)(_ + _))
+
+  test("Haar transform equals the chain of per-dimension passes exactly") {
+    check(Prop.forAll(countGrids) { case (d, levels, grid) =>
+      val chain = (0 until d * levels).foldLeft(grid) { (g, i) =>
+        transformDim(g, i % d, Haar.lowPass, Haar.center)
+      }
+      transform(grid, d, Haar, levels) == chain
+    }, 100)
+  }
+
+  test("coarsen is the one-level Haar transform scaled by 2^d") {
+    check(Prop.forAll(countGrids) { case (d, _, grid) =>
+      AdaWave.coarsen(grid) ==
+        transform(grid, d, Haar, 1).map { case (c, v) => c -> math.scalb(v, d) }
+    }, 100)
+  }
+
+  test("Haar keeps one-point cells when d·levels reaches 40") {
+    val two = Map(Vector.fill(20)(6) -> 1.0, Vector.fill(20)(40) -> 3.0)
+    assert(transform(two, 20, Haar, 2) ==
+      Map(Vector.fill(20)(1) -> math.scalb(1.0, -40), Vector.fill(20)(10) -> math.scalb(3.0, -40)))
+    for (d <- Seq(40, 41))
+      assert(transform(Map(Vector.fill(d)(5) -> 1.0), d, Haar, 1) ==
+        Map(Vector.fill(d)(2) -> math.scalb(1.0, -d)))
+  }
+
   test("d-dimensional transform applies the 1-D pass d times") {
     val grid = Map(Vector(4, 4, 4) -> 8.0)
     val out = transform(grid, 3, Haar, 1)
