@@ -1,6 +1,7 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types._
 import scala.util.Random
 
 /** The paper's synthetic evaluation dataset (§V-B): five 2-D clusters of
@@ -62,23 +63,26 @@ object ClusterData {
     Array(cx + rr * math.cos(th), cy + rr * math.sin(th))
   }
 
-  /** (x, y, label) rows as a DataFrame for the Spark-side pipeline. */
-  def toDF(spark: SparkSession, x: Array[Array[Double]], labels: Array[Int]): DataFrame = {
-    import spark.implicits._
-    x.zip(labels).toSeq.map { case (p, l) => (p(0), p(1), l) }.toDF("x", "y", "label")
-  }
-
-  /** Arbitrary-dimension variant of [[toDF]] with columns f0..f{d-1},
-    * label, and a stable row id for re-aligning collected results.
+  /** Points as a DataFrame for the Spark-side pipeline: columns
+    * f0..f{d-1}, label, and a stable row id (the input index) for
+    * re-aligning collected results, in input order over 8 partitions.
+    *
+    * The rows travel to the executors once, as a broadcast of `(x, labels)`;
+    * each partition is an id range of `sparkContext.range`, so no task
+    * carries row data and later passes over the frame do not re-ship it.
+    * The frame outlives this call, so Spark's ContextCleaner, not this
+    * method, frees the broadcast.
     */
   def toDFn(spark: SparkSession, x: Array[Array[Double]], labels: Array[Int]): DataFrame = {
-    import org.apache.spark.sql.Row
-    import org.apache.spark.sql.types._
     val d = x.headOption.map(_.length).getOrElse(0)
     val schema = StructType(
       (0 until d).map(i => StructField(s"f$i", DoubleType)) :+
         StructField("label", IntegerType) :+ StructField("id", LongType))
-    val rows = x.indices.map(i => Row.fromSeq(x(i).toSeq :+ labels(i) :+ i.toLong))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
+    val points = spark.sparkContext.broadcast((x, labels))
+    val rows = spark.sparkContext.range(0, x.length, 1, 8).map { i =>
+      val (xs, ls) = points.value
+      Row.fromSeq(xs(i.toInt).toSeq :+ ls(i.toInt) :+ i)
+    }
+    spark.createDataFrame(rows, schema)
   }
 }

@@ -56,18 +56,43 @@ class ClusterDataSpec extends SparkSpec {
     assert(x1.zip(x2).forall { case (p, q) => p.sameElements(q) })
   }
 
-  test("toDF carries x, y and label") {
-    val (x, y) = ClusterData.runningExample(100, 0.2)
-    val df = ClusterData.toDF(spark, x, y)
-    assert(df.columns.toSeq == Seq("x", "y", "label"))
-    assert(df.count() == x.length)
+  test("toDFn builds f columns plus label and a stable id") {
+    val rnd = new scala.util.Random(3)
+    val x = Array.fill(5000)(Array.fill(3)(rnd.nextGaussian() * 1e3))
+    val y = Array.fill(x.length)(rnd.nextInt(7))
+    val df = ClusterData.toDFn(spark, x, y)
+    assert(df.columns.toSeq == Seq("f0", "f1", "f2", "label", "id"))
+    assert(df.rdd.getNumPartitions == 8)
+    val rows = df.collect()
+    assert(rows.length == x.length)
+    rows.zipWithIndex.foreach { case (r, i) =>
+      assert((0 until 3).forall(j => r.getDouble(j) == x(i)(j)), s"row $i")
+      assert(r.getInt(3) == y(i) && r.getLong(4) == i.toLong, s"row $i")
+    }
   }
 
-  test("toDFn builds f columns plus label and a stable id") {
-    val (x, y) = ClusterData.runningExample(50, 0.2)
-    val df = ClusterData.toDFn(spark, x, y)
-    assert(df.columns.toSeq == Seq("f0", "f1", "label", "id"))
-    val ids = df.select("id").collect().map(_.getLong(0)).sorted
-    assert(ids.sameElements(Array.tabulate(x.length)(_.toLong)))
+  test("toDFn ships no row data inside any partition of its lineage") {
+    import java.io.{ByteArrayOutputStream, ObjectOutputStream}
+    import org.apache.spark.rdd.RDD
+    val (x, y) = ClusterData.runningExample(1000, 0.5) // 10 000 rows
+    def lineage(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
+    def bytes(o: AnyRef): Int = {
+      val buf = new ByteArrayOutputStream()
+      val out = new ObjectOutputStream(buf)
+      out.writeObject(o)
+      out.close()
+      buf.size()
+    }
+    for (rdd <- lineage(ClusterData.toDFn(spark, x, y).queryExecution.toRdd);
+         p <- rdd.partitions) {
+      val size = bytes(p)
+      assert(size < 1024, s"partition ${p.index} of $rdd serializes to $size bytes")
+    }
+  }
+
+  test("toDFn of no points is an empty frame with label and id") {
+    val df = ClusterData.toDFn(spark, Array.empty, Array.empty)
+    assert(df.columns.toSeq == Seq("label", "id"))
+    assert(df.count() == 0)
   }
 }
