@@ -150,7 +150,7 @@ object AdaWave {
       .withColumn(ClusterCol, labelUdf(col(Grid.CellCol)))
       .drop(Grid.CellCol)
 
-    if (cfg.assignNoise && numClusters > 0) labeled = assignNoiseToNearest(labeled, cols)
+    if (cfg.assignNoise && numClusters > 0) labeled = assignNoiseToNearest(labeled, cols, numClusters)
 
     AdaWaveResult(labeled, numClusters, thr, labels)
   }
@@ -158,16 +158,10 @@ object AdaWave {
   /** The paper's UCI protocol (§V-C): "we run the k-means iteration on the
     * final AdaWave result to assign any detected noise objects to a 'true'
     * cluster" — i.e. one Lloyd assignment step against the centroids of the
-    * discovered clusters.
+    * discovered clusters `1..k`.
     */
-  def assignNoiseToNearest(labeled: DataFrame, cols: Seq[String]): DataFrame = {
-    val centroids: Array[(Int, Array[Double])] = labeled
-      .where(col(ClusterCol) =!= NoiseLabel)
-      .groupBy(ClusterCol)
-      .agg(cols.map(c => avg(col(c)).cast("double").as(c)).head,
-           cols.map(c => avg(col(c)).cast("double").as(c)).tail: _*)
-      .collect()
-      .map(r => r.getInt(0) -> cols.indices.map(i => r.getDouble(i + 1)).toArray)
+  def assignNoiseToNearest(labeled: DataFrame, cols: Seq[String], k: Int): DataFrame = {
+    val centroids = clusterMeans(labeled, cols, k)
     if (centroids.isEmpty) return labeled
 
     val nearest = udf { (label: Int, xs: Seq[Double]) =>
@@ -181,5 +175,43 @@ object AdaWave {
     }
     labeled.withColumn(ClusterCol,
       nearest(col(ClusterCol), array(cols.map(c => col(c).cast("double")): _*)))
+  }
+
+  /** The rows the centroids are summed over: label, then each coordinate. */
+  private[core] def centroidRows(labeled: DataFrame, cols: Seq[String]): DataFrame =
+    labeled.select(col(ClusterCol) +: cols.map(c => col(c).cast("double")): _*)
+
+  /** Per-cluster coordinate means of clusters `1..k` that hold a point, in
+    * label order. Each partition sums its rows into primitive arrays in one
+    * pass with no shuffle; the driver adds the partial sums in partition
+    * order, so the result does not depend on which task finishes first. A
+    * null coordinate is left out of its column's mean, as `avg` does.
+    */
+  private def clusterMeans(labeled: DataFrame, cols: Seq[String], k: Int): Array[(Int, Array[Double])] = {
+    val d = cols.size
+    val partials = centroidRows(labeled, cols).queryExecution.toRdd.mapPartitions { rows =>
+      val sums = new Array[Double]((k + 1) * d)
+      val counts = new Array[Long]((k + 1) * d)
+      rows.foreach { r =>
+        val label = r.getInt(0)
+        if (label != NoiseLabel) {
+          var i = 0
+          while (i < d) {
+            if (!r.isNullAt(i + 1)) {
+              sums(label * d + i) += r.getDouble(i + 1)
+              counts(label * d + i) += 1
+            }
+            i += 1
+          }
+        }
+      }
+      Iterator.single((sums, counts))
+    }.collect()
+    val sums = new Array[Double]((k + 1) * d)
+    val counts = new Array[Long]((k + 1) * d)
+    for ((s, c) <- partials; j <- sums.indices) { sums(j) += s(j); counts(j) += c(j) }
+    (1 to k).filter(c => counts(c * d) > 0).map { c =>
+      c -> Array.tabulate(d)(i => sums(c * d + i) / counts(c * d + i))
+    }.toArray
   }
 }

@@ -1,6 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines._
 import repro.core._
 import repro.data.ClusterData
@@ -12,23 +12,25 @@ import repro.data.ClusterData
 object Harness {
 
   /** AdaWave via the Spark pipeline; returns labels in input row order. */
-  def adaWave(spark: SparkSession, x: Array[Array[Double]], cfg: AdaWaveConfig): Array[Int] = {
-    val (df, cols) = toDF(spark, x)
-    collectLabels(AdaWave.cluster(df, cols, cfg), x.length)
-  }
+  def adaWave(spark: SparkSession, x: Array[Array[Double]], cfg: AdaWaveConfig): Array[Int] =
+    labelsOf(spark, x)(AdaWave.cluster(_, _, cfg))
 
   /** Parameter-free AdaWave (auto-calibrated resolution, see clusterAuto). */
-  def adaWaveAuto(spark: SparkSession, x: Array[Array[Double]], assignNoise: Boolean): Array[Int] = {
-    val (df, cols) = toDF(spark, x)
-    collectLabels(AdaWave.clusterAuto(df, cols, assignNoise), x.length)
-  }
+  def adaWaveAuto(spark: SparkSession, x: Array[Array[Double]], assignNoise: Boolean): Array[Int] =
+    labelsOf(spark, x)(AdaWave.clusterAuto(_, _, assignNoise))
 
-  private def toDF(spark: SparkSession, x: Array[Array[Double]]) = {
-    val d = x.headOption.map(_.length).getOrElse(0)
-    (ClusterData.toDFn(spark, x, Array.fill(x.length)(0)), (0 until d).map(i => s"f$i"))
-  }
+  /** `run`'s labels in input row order. No points have no dimension to
+    * cluster on, so they get no labels and run nothing.
+    */
+  private def labelsOf(spark: SparkSession, x: Array[Array[Double]])
+                      (run: (DataFrame, Seq[String]) => AdaWaveResult): Array[Int] =
+    if (x.isEmpty) Array.emptyIntArray
+    else {
+      val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+      collectLabels(run(df, x(0).indices.map(i => s"f$i")), x.length)
+    }
 
-  private def collectLabels(res: repro.core.AdaWaveResult, n: Int): Array[Int] = {
+  private def collectLabels(res: AdaWaveResult, n: Int): Array[Int] = {
     val out = Array.ofDim[Int](n)
     res.points.select("id", AdaWave.ClusterCol).collect()
       .foreach(r => out(r.getLong(0).toInt) = r.getInt(1))

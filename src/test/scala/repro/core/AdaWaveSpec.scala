@@ -163,4 +163,13 @@ class AdaWaveSpec extends SparkSpec {
     val noisePred = truth.indices.filter(truth(_) == 0).map(pred(_))
     assert(noisePred.count(_ == AdaWave.NoiseLabel) > noisePred.size / 2)
   }
+
+  test("cluster on an empty frame finds no clusters and labels no rows") {
+    val df = ClusterData.toDFn(spark, Array(Array(0.0, 0.0)), Array(0)).limit(0)
+    val res = AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2, assignNoise = true))
+    assert(res.numClusters == 0)
+    assert(res.cellLabels.isEmpty)
+    assert(res.points.count() == 0)
+    assert(res.points.columns.contains(AdaWave.ClusterCol))
+  }
 }

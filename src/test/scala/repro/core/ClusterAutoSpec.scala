@@ -72,4 +72,13 @@ class ClusterAutoSpec extends SparkSpec {
     val b = AdaWave.clusterAuto(df, Seq("f0", "f1", "f2"), assignNoise = false)
     assert(a.threshold == b.threshold && a.cellLabels == b.cellLabels)
   }
+
+  test("clusterAuto on an empty frame finds no clusters and labels no rows") {
+    val df = ClusterData.toDFn(spark, Array(Array(0.0, 0.0, 0.0)), Array(0)).limit(0)
+    val res = AdaWave.clusterAuto(df, Seq("f0", "f1", "f2"), assignNoise = true)
+    assert(res.numClusters == 0)
+    assert(res.cellLabels.isEmpty)
+    assert(res.points.count() == 0)
+    assert(res.points.columns.contains(AdaWave.ClusterCol))
+  }
 }

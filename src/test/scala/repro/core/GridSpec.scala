@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
 
 class GridSpec extends SparkSpec {
@@ -80,5 +83,62 @@ class GridSpec extends SparkSpec {
     val q = Grid.quantize(df, Seq("a", "b", "c"), 4)
     assert(q.cells.keys.forall(_.size == 3))
     assert(q.cells.values.sum == 50.0)
+  }
+
+  /** A frame of nullable double columns `f0..f{d-1}`. */
+  private def frame(rows: Seq[Array[java.lang.Double]], d: Int): DataFrame =
+    spark.createDataFrame(
+      java.util.Arrays.asList(rows.map(r => Row.fromSeq(r.toSeq)): _*),
+      StructType((0 until d).map(i => StructField(s"f$i", DoubleType))))
+
+  /** The per-dimension Catalyst expression `quantize` compiled into a row
+    * kernel: the oracle the kernel must agree with on every row.
+    */
+  private def catalystCell(q: Quantized, cols: Seq[String]): Column =
+    array(cols.zipWithIndex.map { case (c, i) =>
+      least(lit(q.bins - 1),
+        greatest(lit(0),
+          floor((col(c).cast("double") - lit(q.mins(i))) / lit(q.widths(i))).cast("int")))
+    }: _*)
+
+  /** Random finite rows (d 1..33, 2..40 rows), then one of: nothing more, a
+    * constant column, or one null, NaN, +Inf or -Inf coordinate. Every
+    * frame holds each column's maximum, which clamps into bin `bins - 1`.
+    */
+  private val frames: Gen[(Int, Int, Seq[Array[java.lang.Double]])] = for {
+    d <- Gen.choose(1, 33)
+    n <- Gen.choose(2, 40)
+    bins <- Gen.choose(2, 64)
+    rows <- Gen.listOfN(n, Gen.listOfN(d, Gen.choose(-1000.0, 1000.0)))
+    kind <- Gen.oneOf("finite", "constant", "null", "nan", "+inf", "-inf")
+    r <- Gen.choose(0, n - 1)
+    c <- Gen.choose(0, d - 1)
+  } yield {
+    val out = rows.map(_.map(v => java.lang.Double.valueOf(v)).toArray)
+    kind match {
+      case "constant" => out.foreach(_(c) = 3.5)
+      case "null" => out(r)(c) = null
+      case "nan" => out(r)(c) = Double.NaN
+      case "+inf" => out(r)(c) = Double.PositiveInfinity
+      case "-inf" => out(r)(c) = Double.NegativeInfinity
+      case _ =>
+    }
+    (d, bins, out)
+  }
+
+  test("the cell kernel places every row where the per-dimension Catalyst expression does") {
+    val prop = Prop.forAllNoShrink(frames) { case (d, bins, rows) =>
+      val cols = (0 until d).map(i => s"f$i")
+      val q = Grid.quantize(frame(rows, d), cols, bins)
+      val got = q.points.select(col(Grid.CellCol), catalystCell(q, cols)).collect()
+      got.length == rows.length && got.forall(r => r.getSeq[Int](0) == r.getSeq[Int](1))
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), prop).passed)
+  }
+
+  test("quantize on an empty frame has no cells") {
+    val q = Grid.quantize(frame(Seq.empty, 3), Seq("f0", "f1", "f2"), 8)
+    assert(q.cells.isEmpty)
+    assert(q.points.count() == 0)
   }
 }

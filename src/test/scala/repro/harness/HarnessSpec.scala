@@ -66,4 +66,10 @@ class HarnessSpec extends SparkSpec {
     assert(lines.map(_.length).distinct.length == 1, "all lines equal width")
     assert(lines(1).forall(c => c == '-' || c == '|'))
   }
+
+  test("adaWave and adaWaveAuto on no points return no labels") {
+    val none = Array.empty[Array[Double]]
+    assert(Harness.adaWave(spark, none, repro.core.AdaWaveConfig.auto(2)).isEmpty)
+    assert(Harness.adaWaveAuto(spark, none, assignNoise = true).isEmpty)
+  }
 }
