@@ -30,23 +30,15 @@ final case class AdaWaveConfig(
 object AdaWaveConfig {
 
   /** Parameter-free defaults: 128 bins for d ≤ 2 (the paper's `scale`
-    * default), otherwise the finest power-of-two grid that (a) keeps the
-    * cell fan-out bounded in dimension (2^ceil(16/d)) and (b) — when the
-    * row count `n` is supplied — keeps a few points per occupied cell under
-    * a low-intrinsic-dimension assumption (≈ √(n/5) bins, at least 8).
+    * default), otherwise the finest power-of-two grid that keeps the cell
+    * fan-out bounded in dimension (2^ceil(16/d), between 4 and 128).
     */
-  def auto(d: Int, n: Long = 0L, assignNoise: Boolean = false): AdaWaveConfig = {
+  def auto(d: Int, assignNoise: Boolean = false): AdaWaveConfig = {
     // Hat-shaped CDF(2,2) smoothing helps 2-D spatial data; in higher d its
     // 5-tap support fans each cell into ~2.5^d transformed cells and blurs
-    // every cluster into one connected mass, so we fall back to Haar. Haar
-    // maps every cell to exactly one transformed cell, so the sparse cell
-    // count never exceeds n regardless of the bin count — the grid can stay
-    // fine in high d and only the per-cell point budget (≈ √(n/5) bins
-    // under a low-intrinsic-dimension assumption) caps it.
+    // every cluster into one connected mass, so we fall back to Haar.
     val bins =
       if (d <= 2) 128
-      else if (n > 0)
-        math.min(64, math.max(8, Integer.highestOneBit(math.max(1, math.sqrt(n / 5.0).toInt))))
       else math.max(4, math.min(128, math.pow(2.0, math.ceil(16.0 / d)).toInt))
     val family: Wavelet.Family = if (d <= 2) Wavelet.CDF22 else Wavelet.Haar
     AdaWaveConfig(bins = bins, levels = 1, family = family,
@@ -183,13 +175,12 @@ object AdaWave {
 
   /** Per-cluster coordinate means of clusters `1..k` that hold a point, in
     * label order. Each partition sums its rows into primitive arrays in one
-    * pass with no shuffle; the driver adds the partial sums in partition
-    * order, so the result does not depend on which task finishes first. A
-    * null coordinate is left out of its column's mean, as `avg` does.
+    * pass with no shuffle ([[PartitionFold]]). A null coordinate is left out
+    * of its column's mean, as `avg` does.
     */
   private def clusterMeans(labeled: DataFrame, cols: Seq[String], k: Int): Array[(Int, Array[Double])] = {
     val d = cols.size
-    val partials = centroidRows(labeled, cols).queryExecution.toRdd.mapPartitions { rows =>
+    val (sums, counts) = PartitionFold(centroidRows(labeled, cols)) { rows =>
       val sums = new Array[Double]((k + 1) * d)
       val counts = new Array[Long]((k + 1) * d)
       rows.foreach { r =>
@@ -205,11 +196,11 @@ object AdaWave {
           }
         }
       }
-      Iterator.single((sums, counts))
-    }.collect()
-    val sums = new Array[Double]((k + 1) * d)
-    val counts = new Array[Long]((k + 1) * d)
-    for ((s, c) <- partials; j <- sums.indices) { sums(j) += s(j); counts(j) += c(j) }
+      (sums, counts)
+    }((new Array[Double]((k + 1) * d), new Array[Long]((k + 1) * d))) { (acc, part) =>
+      for (j <- acc._1.indices) { acc._1(j) += part._1(j); acc._2(j) += part._2(j) }
+      acc
+    }
     (1 to k).filter(c => counts(c * d) > 0).map { c =>
       c -> Array.tabulate(d)(i => sums(c * d + i) / counts(c * d + i))
     }.toArray

@@ -25,10 +25,18 @@ final case class Quantized(
   * Each dimension is split into `bins` equal-width intervals over the
   * observed [min, max]; a point belongs to the right-open interval
   * `[l_ij, h_ij)` (the top value is clamped into the last bin). The
-  * per-cell density is the number of contained points. Both the cell-id
-  * computation and the density aggregation run on Spark; only the sparse
-  * `{cell → density}` map (size M ≪ N) is collected to the driver. An
-  * empty frame has no cells.
+  * per-cell density is the number of contained points.
+  *
+  * Quantization is two Spark jobs over the rows, each a single stage with
+  * no shuffle ([[PartitionFold]]):
+  *  - bounds: each partition folds every column's min and max over its
+  *    non-null values, with NaN above every number as Spark's `min` and
+  *    `max` order it;
+  *  - density: each partition places every row with the cell kernel and
+  *    counts the cells in a flat primitive table ([[CellCounts]]).
+  * The driver folds the partitions in order; only the sparse
+  * `{cell → density}` map (size M ≪ N) reaches it. An empty frame has no
+  * cells. `points` carries the same kernel as a UDF for the label pass.
   */
 object Grid {
 
@@ -36,51 +44,108 @@ object Grid {
 
   def quantize(df: DataFrame, cols: Seq[String], bins: Int): Quantized = {
     require(bins >= 2, s"need at least 2 bins per dimension, got $bins")
-    val aggs: Seq[Column] =
-      cols.flatMap(c => Seq(min(col(c)).cast("double"), max(col(c)).cast("double")))
-    val row = df.agg(aggs.head, aggs.tail: _*).head()
     val d = cols.size
-    // A column with no value (an empty frame) gets min 0 and width 1.
-    def bound(i: Int) = if (row.isNullAt(i)) 0.0 else row.getDouble(i)
-    val mins = Array.tabulate(d)(i => bound(2 * i))
-    val maxs = Array.tabulate(d)(i => bound(2 * i + 1))
+    val (mins, maxs) = bounds(df, cols)
     // Constant dimensions get width 1 so every point lands in bin 0.
     val widths = Array.tabulate(d) { i =>
       val w = (maxs(i) - mins(i)) / bins
       if (w > 0) w else 1.0
     }
 
-    val points = df.withColumn(CellCol, cellOf(mins, widths, bins)(
-      array(cols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN))): _*)))
+    val cellUdf: UserDefinedFunction = udf { (xs: Array[Double]) =>
+      val cell = new Array[Int](d)
+      cellOf(xs, mins, widths, bins, cell)
+      cell
+    }
+    val points = df.withColumn(CellCol, cellUdf(array(coordinates(cols): _*)))
 
-    val cells: Map[Vector[Int], Double] = points
-      .groupBy(col(CellCol))
-      .count()
-      .collect()
-      .map(r => r.getSeq[Int](0).toVector -> r.getLong(1).toDouble)
-      .toMap
-    Quantized(points, cells, mins, widths, bins)
+    val cells = PartitionFold(coordinateRows(df, cols)) { rows =>
+      val xs = new Array[Double](d)
+      val cell = new Array[Int](d)
+      val counts = new CellCounts(d)
+      rows.foreach { r =>
+        var i = 0
+        while (i < d) { xs(i) = r.getDouble(i); i += 1 }
+        cellOf(xs, mins, widths, bins, cell)
+        counts.add(cell, 0, 1L)
+      }
+      counts.rows
+    }(new CellCounts(d))(_ addAll _)
+    Quantized(points, cells.toMap, mins, widths, bins)
   }
 
-  /** The cell of one row, as one compiled function over its coordinates.
+  /** Per-column (min, max) over the non-null values as doubles. A column
+    * with no value (an empty frame, or only nulls) gets min and max 0.
+    */
+  private def bounds(df: DataFrame, cols: Seq[String]): (Array[Double], Array[Double]) = {
+    val d = cols.size
+    val b = PartitionFold(boundsRows(df, cols)) { rows =>
+      val b = new Bounds(d)
+      rows.foreach { r =>
+        var i = 0
+        while (i < d) {
+          if (!r.isNullAt(i)) b.widen(i, r.getDouble(i), r.getDouble(i))
+          i += 1
+        }
+      }
+      b
+    }(new Bounds(d))(_ addAll _)
+    (b.mins, b.maxs)
+  }
+
+  /** Running per-column min and max. NaN sorts above every number, as in
+    * Spark's `min` and `max`.
+    */
+  private final class Bounds(d: Int) extends Serializable {
+    val mins = new Array[Double](d)
+    val maxs = new Array[Double](d)
+    private val seen = new Array[Boolean](d)
+
+    private def below(a: Double, b: Double) = !a.isNaN && (b.isNaN || a < b)
+
+    def widen(i: Int, lo: Double, hi: Double): Unit =
+      if (!seen(i)) { mins(i) = lo; maxs(i) = hi; seen(i) = true }
+      else {
+        if (below(lo, mins(i))) mins(i) = lo
+        if (below(maxs(i), hi)) maxs(i) = hi
+      }
+
+    def addAll(o: Bounds): this.type = {
+      for (i <- 0 until d if o.seen(i)) widen(i, o.mins(i), o.maxs(i))
+      this
+    }
+  }
+
+  /** The rows the bounds pass folds: each clustering column as a double. */
+  private[core] def boundsRows(df: DataFrame, cols: Seq[String]): DataFrame =
+    df.select(cols.map(c => col(c).cast("double")): _*)
+
+  /** The rows the density pass places: the kernel's input coordinates. */
+  private[core] def coordinateRows(df: DataFrame, cols: Seq[String]): DataFrame =
+    df.select(coordinates(cols): _*)
+
+  /** Each clustering column as a double, a null passed in as NaN. */
+  private def coordinates(cols: Seq[String]): Seq[Column] =
+    cols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN)))
+
+  /** The cell kernel: writes the cell of coordinates `xs` into `cell`.
     *
     * Per dimension this is `least(bins - 1, greatest(0, floor((x - min) /
     * width)))` with Catalyst's semantics: NaN floors to 0, so a NaN or a
     * null coordinate (passed in as NaN) lands in bin 0. A floor outside the
-    * `Int` range clamps instead of overflowing. Written as d Catalyst
-    * expressions, whole-stage codegen inlines all of them into one Java
-    * method, which at d = 33 is over HotSpot's 8 000-byte limit for JIT
-    * compilation, so every row pass would run in the bytecode interpreter.
+    * `Int` range clamps instead of overflowing. The density pass and the
+    * `__cell` UDF both call it. Written as d Catalyst expressions,
+    * whole-stage codegen inlines all of them into one Java method, which at
+    * d = 33 is over HotSpot's 8 000-byte limit for JIT compilation, so every
+    * row pass would run in the bytecode interpreter.
     */
-  private def cellOf(mins: Array[Double], widths: Array[Double], bins: Int): UserDefinedFunction =
-    udf { (xs: Array[Double]) =>
-      val cell = new Array[Int](xs.length)
-      var i = 0
-      while (i < xs.length) {
-        val f = math.floor((xs(i) - mins(i)) / widths(i)).toLong
-        cell(i) = if (f <= 0L) 0 else if (f >= bins - 1) bins - 1 else f.toInt
-        i += 1
-      }
-      cell
+  private def cellOf(xs: Array[Double], mins: Array[Double], widths: Array[Double],
+                     bins: Int, cell: Array[Int]): Unit = {
+    var i = 0
+    while (i < xs.length) {
+      val f = math.floor((xs(i) - mins(i)) / widths(i)).toLong
+      cell(i) = if (f <= 0L) 0 else if (f >= bins - 1) bins - 1 else f.toInt
+      i += 1
     }
+  }
 }

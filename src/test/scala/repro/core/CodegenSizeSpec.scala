@@ -3,16 +3,17 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.codegen.CodeGenerator
 import org.apache.spark.sql.execution.WholeStageCodegenExec
-import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.data.{ClusterData, UciLike}
 
-/** The row passes over 33-D data must compile to methods the JIT compiles.
+/** The row passes over high-dimensional data must compile to methods the
+  * JIT compiles.
   *
   * HotSpot leaves any method over 8 000 bytes of bytecode interpreted
   * (`-XX:+DontCompileHugeMethods`, `HugeMethodLimit`). Whole-stage codegen
-  * puts a stage into one Java method, so every stage of the four plans that
-  * touch every row of a 33-D frame must stay under that size.
+  * puts a stage into one Java method, so every stage of the plans that touch
+  * every row must stay under that size: the two quantization projections
+  * at d = 33 and d = 64, the label and centroid plans at d = 33.
   */
 class CodegenSizeSpec extends SparkSpec {
 
@@ -34,17 +35,31 @@ class CodegenSizeSpec extends SparkSpec {
   }
 
   private lazy val x = UciLike.unitScale(UciLike.dermatology().x)
-  private def frame = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+  private def frame = {
+    assert(x(0).length == 33)
+    ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+  }
   private val cols = (0 until 33).map(i => s"f$i")
 
-  private def check(plan: String)(df: => DataFrame): Unit =
-    test(s"the $plan plan on d = 33 compiles to methods under $HugeMethodLimit bytes") {
-      assert(x(0).length == 33)
+  /** A 64-D frame: 2 000 rows around four tight Gaussian centres. */
+  private lazy val frame64 = {
+    val rnd = new scala.util.Random(64)
+    val centres = Array.fill(4)(Array.fill(64)(rnd.nextDouble()))
+    val x64 = Array.tabulate(2000)(i => centres(i % 4).map(_ + 0.01 * rnd.nextGaussian()))
+    ClusterData.toDFn(spark, x64, Array.fill(x64.length)(0))
+  }
+  private val cols64 = (0 until 64).map(i => s"f$i")
+
+  private def check(plan: String, d: Int = 33)(df: => DataFrame): Unit =
+    test(s"the $plan plan on d = $d compiles to methods under $HugeMethodLimit bytes") {
       val size = maxMethodSize(df)
       assert(size < HugeMethodLimit, s"$plan: largest generated method is $size bytes")
     }
 
-  check("density")(Grid.quantize(frame, cols, 64).points.groupBy(col(Grid.CellCol)).count())
+  check("bounds")(Grid.boundsRows(frame, cols))
+  check("coordinate")(Grid.coordinateRows(frame, cols))
+  check("bounds", 64)(Grid.boundsRows(frame64, cols64))
+  check("coordinate", 64)(Grid.coordinateRows(frame64, cols64))
   check("label")(AdaWave.clusterAuto(frame, cols).points)
   check("label + nearest-centroid")(AdaWave.clusterAuto(frame, cols, assignNoise = true).points)
   check("centroid")(AdaWave.centroidRows(AdaWave.clusterAuto(frame, cols).points, cols))

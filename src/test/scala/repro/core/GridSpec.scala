@@ -4,7 +4,9 @@ import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.apache.spark.JobExecutionStatus
 import repro.{Oracle, SparkSpec}
+import repro.data.ClusterData
 
 class GridSpec extends SparkSpec {
 
@@ -85,10 +87,10 @@ class GridSpec extends SparkSpec {
     assert(q.cells.values.sum == 50.0)
   }
 
-  /** A frame of nullable double columns `f0..f{d-1}`. */
-  private def frame(rows: Seq[Array[java.lang.Double]], d: Int): DataFrame =
+  /** A frame of nullable double columns `f0..f{d-1}` in `parts` partitions. */
+  private def frame(rows: Seq[Array[java.lang.Double]], d: Int, parts: Int = 1): DataFrame =
     spark.createDataFrame(
-      java.util.Arrays.asList(rows.map(r => Row.fromSeq(r.toSeq)): _*),
+      spark.sparkContext.parallelize(rows.map(r => Row.fromSeq(r.toSeq)), parts),
       StructType((0 until d).map(i => StructField(s"f$i", DoubleType))))
 
   /** The per-dimension Catalyst expression `quantize` compiled into a row
@@ -101,18 +103,28 @@ class GridSpec extends SparkSpec {
           floor((col(c).cast("double") - lit(q.mins(i))) / lit(q.widths(i))).cast("int")))
     }: _*)
 
-  /** Random finite rows (d 1..33, 2..40 rows), then one of: nothing more, a
-    * constant column, or one null, NaN, +Inf or -Inf coordinate. Every
-    * frame holds each column's maximum, which clamps into bin `bins - 1`.
+  /** Random finite rows (d 1..33, 2..40 rows, 1..n+3 partitions, so some
+    * partitions may be empty), then one of: nothing more, a constant
+    * column, one null, NaN, +Inf or -Inf coordinate, or a column that mixes
+    * NaN with ±Inf. Every frame holds each column's maximum, which clamps
+    * into bin `bins - 1`.
     */
-  private val frames: Gen[(Int, Int, Seq[Array[java.lang.Double]])] = for {
+  private case class Frame(d: Int, bins: Int, parts: Int, kind: String,
+                           rows: Seq[Array[java.lang.Double]]) {
+    val cols: Seq[String] = (0 until d).map(i => s"f$i")
+    def df: DataFrame = frame(rows, d, parts)
+  }
+
+  private val frames: Gen[Frame] = for {
     d <- Gen.choose(1, 33)
     n <- Gen.choose(2, 40)
     bins <- Gen.choose(2, 64)
+    parts <- Gen.choose(1, n + 3)
     rows <- Gen.listOfN(n, Gen.listOfN(d, Gen.choose(-1000.0, 1000.0)))
-    kind <- Gen.oneOf("finite", "constant", "null", "nan", "+inf", "-inf")
+    kind <- Gen.oneOf("finite", "constant", "null", "nan", "+inf", "-inf", "nan+inf")
     r <- Gen.choose(0, n - 1)
     c <- Gen.choose(0, d - 1)
+    inf <- Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity)
   } yield {
     val out = rows.map(_.map(v => java.lang.Double.valueOf(v)).toArray)
     kind match {
@@ -121,19 +133,84 @@ class GridSpec extends SparkSpec {
       case "nan" => out(r)(c) = Double.NaN
       case "+inf" => out(r)(c) = Double.PositiveInfinity
       case "-inf" => out(r)(c) = Double.NegativeInfinity
+      case "nan+inf" => out(r)(c) = Double.NaN; out((r + 1) % n)(c) = inf
       case _ =>
     }
-    (d, bins, out)
+    Frame(d, bins, parts, kind, out)
   }
 
-  test("the cell kernel places every row where the per-dimension Catalyst expression does") {
-    val prop = Prop.forAllNoShrink(frames) { case (d, bins, rows) =>
-      val cols = (0 until d).map(i => s"f$i")
-      val q = Grid.quantize(frame(rows, d), cols, bins)
-      val got = q.points.select(col(Grid.CellCol), catalystCell(q, cols)).collect()
-      got.length == rows.length && got.forall(r => r.getSeq[Int](0) == r.getSeq[Int](1))
-    }
+  private def holds(prop: Prop): Unit =
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), prop).passed)
+
+  test("the cell kernel places every row where the per-dimension Catalyst expression does") {
+    // The Catalyst oracle throws CAST_OVERFLOW on an infinite floor, which a
+    // column mixing NaN with ±Inf produces; the kernel clamps it instead.
+    holds(Prop.forAllNoShrink(frames.filter(_.kind != "nan+inf")) { f =>
+      val q = Grid.quantize(f.df, f.cols, f.bins)
+      val got = q.points.select(col(Grid.CellCol), catalystCell(q, f.cols)).collect()
+      got.length == f.rows.length && got.forall(r => r.getSeq[Int](0) == r.getSeq[Int](1))
+    })
+  }
+
+  private def same(a: Double, b: Double) = a == b || (a.isNaN && b.isNaN)
+
+  test("quantize's bounds equal those of a min/max aggregation") {
+    holds(Prop.forAllNoShrink(frames) { f =>
+      val q = Grid.quantize(f.df, f.cols, f.bins)
+      val aggs = f.cols.flatMap(c => Seq(min(col(c)).cast("double"), max(col(c)).cast("double")))
+      val row = f.df.agg(aggs.head, aggs.tail: _*).head()
+      def bound(i: Int) = if (row.isNullAt(i)) 0.0 else row.getDouble(i)
+      (0 until f.d).forall { i =>
+        val w = (bound(2 * i + 1) - bound(2 * i)) / f.bins
+        same(q.mins(i), bound(2 * i)) && same(q.widths(i), if (w > 0) w else 1.0)
+      }
+    })
+  }
+
+  test("quantize's cells equal a groupBy count of the points' cell column") {
+    holds(Prop.forAllNoShrink(frames) { f =>
+      val q = Grid.quantize(f.df, f.cols, f.bins)
+      val counted = q.points.groupBy(col(Grid.CellCol)).count().collect()
+        .map(r => r.getSeq[Int](0).toVector -> r.getLong(1).toDouble).toMap
+      q.cells == counted && q.cells.values.sum == f.rows.length
+    })
+  }
+
+  /** The stage names of each Spark job `body` runs, in job order. */
+  private def jobStages(body: => Unit): Seq[Seq[String]] = {
+    val sc = spark.sparkContext
+    val group = s"grid-jobs-${System.nanoTime}"
+    def inGroup(g: String)(run: => Unit): Unit = {
+      sc.setJobGroup(g, g)
+      try run finally sc.clearJobGroup()
+    }
+    inGroup(group)(body)
+    // The status tracker is fed by an asynchronous listener. Events arrive
+    // in order, so once a later marker job reads as finished, every job of
+    // `group` has been recorded.
+    val marker = group + "-marker"
+    inGroup(marker)(sc.parallelize(Seq(1), 1).count())
+    val tracker = sc.statusTracker
+    def markerDone = tracker.getJobIdsForGroup(marker)
+      .exists(id => tracker.getJobInfo(id).exists(_.status == JobExecutionStatus.SUCCEEDED))
+    val deadline = System.nanoTime + 30L * 1000 * 1000 * 1000
+    while (!markerDone && System.nanoTime < deadline) Thread.sleep(10)
+    assert(markerDone, "the status tracker never saw the marker job")
+    tracker.getJobIdsForGroup(group).sorted.toSeq
+      .map(id => tracker.getJobInfo(id).get.stageIds.toSeq.map(s => tracker.getStageInfo(s).get.name))
+  }
+
+  test("quantize runs two single-stage Spark jobs, so nothing is shuffled") {
+    val rnd = new scala.util.Random(7)
+    for (d <- Seq(2, 33)) {
+      val x = Array.fill(3000)(Array.fill(d)(rnd.nextGaussian()))
+      val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+      val cols = (0 until d).map(i => s"f$i")
+      val jobs = jobStages(Grid.quantize(df, cols, 64))
+      assert(jobs.map(_.size) == Seq(1, 1), s"d = $d: $jobs")
+      // Each job is named after its pass in Grid, not after PartitionFold.
+      assert(jobs.flatten.forall(_.startsWith("collect at Grid.scala:")), s"d = $d: $jobs")
+    }
   }
 
   test("quantize on an empty frame has no cells") {
