@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.UserDefinedFunction
 import scala.annotation.tailrec
 
 /** Configuration of the AdaWave pipeline.
@@ -75,7 +74,7 @@ object AdaWave {
 
   def cluster(df: DataFrame, cols: Seq[String], cfg: AdaWaveConfig): AdaWaveResult = {
     val q = Grid.quantize(df, cols, cfg.bins)
-    run(q, q.cells, 0, cfg, cols)
+    run(df, cols, q, q.cells, 0, cfg)
   }
 
   /** Fully parameter-free entry point. For d ≤ 2 this is the paper's
@@ -105,7 +104,7 @@ object AdaWave {
     val (cells, shift) = calibrate(q.cells, 0)
     val cfg = AdaWaveConfig(bins = fine >> shift, levels = 1, family = Wavelet.Haar,
       diagonal = false, assignNoise = assignNoise)
-    run(q, cells, shift, cfg, cols)
+    run(df, cols, q, cells, shift, cfg)
   }
 
   /** Merge a sparse cell map one dyadic level coarser (Haar-nested): the
@@ -114,9 +113,9 @@ object AdaWave {
   def coarsen(cells: Map[Vector[Int], Double]): Map[Vector[Int], Double] =
     Wavelet.dyadicMerge(cells, 1, 1.0)
 
-  /** Steps 2–6 on `cells`, which is `q.cells` coarsened `coarsenShift` times. */
-  private def run(q: Quantized, cells: Map[Vector[Int], Double], coarsenShift: Int,
-                  cfg: AdaWaveConfig, cols: Seq[String]): AdaWaveResult = {
+  /** Steps 2–6 on `cells` (`q.cells` coarsened `coarsenShift` times); labels `df`. */
+  private def run(df: DataFrame, cols: Seq[String], q: Quantized, cells: Map[Vector[Int], Double],
+                  coarsenShift: Int, cfg: AdaWaveConfig): AdaWaveResult = {
     val d = cols.size
     // Step 2: wavelet decomposition, average subband only.
     val transformed = Wavelet.transform(cells, d, cfg.family, cfg.levels)
@@ -132,15 +131,16 @@ object AdaWave {
     val labels = ConnectedComponents.label(kept, cfg.diagonal && d <= 8)
     val numClusters = if (labels.isEmpty) 0 else labels.values.max
 
-    // Step 5/6: lookup table original cell → transformed cell → label.
-    // Points carry fine-grid cells; shift by coarsening + transform levels.
-    val shift = coarsenShift + cfg.levels
-    val lookup: Vector[Int] => Int = orig =>
-      labels.getOrElse(orig.map(_ >> shift), NoiseLabel)
-    val labelUdf: UserDefinedFunction = udf((cell: Seq[Int]) => lookup(cell.toVector))
-    var labeled = q.points
-      .withColumn(ClusterCol, labelUdf(col(Grid.CellCol)))
-      .drop(Grid.CellCol)
+    // Step 5/6: lookup table original cell → transformed cell → label. Each
+    // row's fine-grid cell is shifted by coarsening + transform levels. The
+    // closure holds only what the lookup reads, not `q` and its M cells.
+    val (mins, widths, bins, shift) = (q.mins, q.widths, q.bins, coarsenShift + cfg.levels)
+    val labelUdf = udf { (xs: Array[Double]) =>
+      val cell = new Array[Int](xs.length)
+      Grid.cellOf(xs, mins, widths, bins, cell)
+      labels.getOrElse(Vector.tabulate(cell.length)(cell(_) >> shift), NoiseLabel)
+    }
+    var labeled = df.withColumn(ClusterCol, labelUdf(array(Grid.coordinates(cols): _*)))
 
     if (cfg.assignNoise && numClusters > 0) labeled = assignNoiseToNearest(labeled, cols, numClusters)
 

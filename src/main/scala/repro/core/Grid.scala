@@ -1,12 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 
 /** Result of quantizing a point set onto a sparse grid.
   *
-  * @param points original rows plus a `__cell` array<int> column
   * @param cells  the paper's "grid labeling" structure: only non-empty
   *               cells, as `{cell coordinates → point count}`
   * @param mins   per-dimension minimum used for scaling
@@ -14,7 +12,6 @@ import org.apache.spark.sql.functions._
   * @param bins   bins per dimension
   */
 final case class Quantized(
-    points: DataFrame,
     cells: Map[Vector[Int], Double],
     mins: Array[Double],
     widths: Array[Double],
@@ -27,59 +24,51 @@ final case class Quantized(
   * `[l_ij, h_ij)` (the top value is clamped into the last bin). The
   * per-cell density is the number of contained points.
   *
-  * Quantization is two Spark jobs over the rows, each a single stage with
-  * no shuffle ([[PartitionFold]]):
+  * Quantization is two Spark jobs over one projection of the rows, each a
+  * single stage with no shuffle ([[PartitionFold]]):
   *  - bounds: each partition folds every column's min and max over its
   *    non-null values, with NaN above every number as Spark's `min` and
   *    `max` order it;
-  *  - density: each partition places every row with the cell kernel and
-  *    counts the cells in a flat primitive table ([[CellCounts]]).
+  *  - density: each partition places every row with the cell kernel
+  *    [[cellOf]] and counts the cells in a flat primitive table
+  *    ([[CellCounts]]).
   * The driver folds the partitions in order; only the sparse
   * `{cell → density}` map (size M ≪ N) reaches it. An empty frame has no
-  * cells. `points` carries the same kernel as a UDF for the label pass.
+  * cells. The label pass places each row again with the same kernel.
   */
 object Grid {
-
-  val CellCol = "__cell"
 
   def quantize(df: DataFrame, cols: Seq[String], bins: Int): Quantized = {
     require(bins >= 2, s"need at least 2 bins per dimension, got $bins")
     val d = cols.size
-    val (mins, maxs) = bounds(df, cols)
+    val coords = coordinateRows(df, cols)
+    val (mins, maxs) = bounds(coords, d)
     // Constant dimensions get width 1 so every point lands in bin 0.
     val widths = Array.tabulate(d) { i =>
       val w = (maxs(i) - mins(i)) / bins
       if (w > 0) w else 1.0
     }
 
-    val cellUdf: UserDefinedFunction = udf { (xs: Array[Double]) =>
-      val cell = new Array[Int](d)
-      cellOf(xs, mins, widths, bins, cell)
-      cell
-    }
-    val points = df.withColumn(CellCol, cellUdf(array(coordinates(cols): _*)))
-
-    val cells = PartitionFold(coordinateRows(df, cols)) { rows =>
+    val cells = PartitionFold(coords) { rows =>
       val xs = new Array[Double](d)
       val cell = new Array[Int](d)
       val counts = new CellCounts(d)
       rows.foreach { r =>
         var i = 0
-        while (i < d) { xs(i) = r.getDouble(i); i += 1 }
+        while (i < d) { xs(i) = if (r.isNullAt(i)) Double.NaN else r.getDouble(i); i += 1 }
         cellOf(xs, mins, widths, bins, cell)
         counts.add(cell, 0, 1L)
       }
       counts.rows
     }(new CellCounts(d))(_ addAll _)
-    Quantized(points, cells.toMap, mins, widths, bins)
+    Quantized(cells.toMap, mins, widths, bins)
   }
 
-  /** Per-column (min, max) over the non-null values as doubles. A column
+  /** Per-column (min, max) over the non-null values of `coords`. A column
     * with no value (an empty frame, or only nulls) gets min and max 0.
     */
-  private def bounds(df: DataFrame, cols: Seq[String]): (Array[Double], Array[Double]) = {
-    val d = cols.size
-    val b = PartitionFold(boundsRows(df, cols)) { rows =>
+  private def bounds(coords: DataFrame, d: Int): (Array[Double], Array[Double]) = {
+    val b = PartitionFold(coords) { rows =>
       val b = new Bounds(d)
       rows.foreach { r =>
         var i = 0
@@ -116,16 +105,14 @@ object Grid {
     }
   }
 
-  /** The rows the bounds pass folds: each clustering column as a double. */
-  private[core] def boundsRows(df: DataFrame, cols: Seq[String]): DataFrame =
+  /** The rows both passes fold: each clustering column as a double. */
+  private[core] def coordinateRows(df: DataFrame, cols: Seq[String]): DataFrame =
     df.select(cols.map(c => col(c).cast("double")): _*)
 
-  /** The rows the density pass places: the kernel's input coordinates. */
-  private[core] def coordinateRows(df: DataFrame, cols: Seq[String]): DataFrame =
-    df.select(coordinates(cols): _*)
-
-  /** Each clustering column as a double, a null passed in as NaN. */
-  private def coordinates(cols: Seq[String]): Seq[Column] =
+  /** The cell kernel's input for a row pass: each clustering column as a
+    * double, a null passed in as NaN.
+    */
+  private[core] def coordinates(cols: Seq[String]): Seq[Column] =
     cols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN)))
 
   /** The cell kernel: writes the cell of coordinates `xs` into `cell`.
@@ -134,13 +121,13 @@ object Grid {
     * width)))` with Catalyst's semantics: NaN floors to 0, so a NaN or a
     * null coordinate (passed in as NaN) lands in bin 0. A floor outside the
     * `Int` range clamps instead of overflowing. The density pass and the
-    * `__cell` UDF both call it. Written as d Catalyst expressions,
+    * label pass both call it. Written as d Catalyst expressions,
     * whole-stage codegen inlines all of them into one Java method, which at
     * d = 33 is over HotSpot's 8 000-byte limit for JIT compilation, so every
     * row pass would run in the bytecode interpreter.
     */
-  private def cellOf(xs: Array[Double], mins: Array[Double], widths: Array[Double],
-                     bins: Int, cell: Array[Int]): Unit = {
+  private[core] def cellOf(xs: Array[Double], mins: Array[Double], widths: Array[Double],
+                           bins: Int, cell: Array[Int]): Unit = {
     var i = 0
     while (i < xs.length) {
       val f = math.floor((xs(i) - mins(i)) / widths(i)).toLong

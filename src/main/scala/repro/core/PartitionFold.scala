@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 import scala.reflect.ClassTag
@@ -7,12 +8,14 @@ import scala.reflect.ClassTag
 /** One pass over a frame's rows as a single Spark job with no shuffle.
   *
   * `partial` folds each partition's rows into one value on the executor;
-  * the driver collects those values and folds them with `merge` in
-  * partition order, so the result does not depend on which task finishes
-  * first. This is partial aggregation with the final step on the driver:
-  * every caller collects its whole result anyway, so an exchange would buy
-  * nothing. Rows are Catalyst's internal rows and may be reused between
-  * calls of the iterator, so `partial` must copy whatever it keeps.
+  * the driver gathers those values with `runJob` and folds them with
+  * `merge` in partition order, so the result does not depend on which task
+  * finishes first. This is partial aggregation with the final step on the
+  * driver: every caller collects its whole result anyway, so an exchange
+  * would buy nothing. `runJob` has Spark's closure cleaner parse only the
+  * fold's own closure, not the two of Spark's that `collect` adds. Rows
+  * are Catalyst's internal rows and may be reused between calls of the
+  * iterator, so `partial` must copy whatever it keeps.
   */
 private[core] object PartitionFold {
 
@@ -21,12 +24,13 @@ private[core] object PartitionFold {
     val sc = rows.sparkSession.sparkContext
     val outer = sc.getLocalProperty("callSite.short")
     sc.setCallSite(callerSite)
-    try
-      rows.queryExecution.toRdd
-        .mapPartitions(it => Iterator.single(partial(it)))
-        .collect()
-        .foldLeft(zero)(merge)
-    finally if (outer == null) sc.clearCallSite() else sc.setCallSite(outer)
+    try {
+      val rdd = rows.queryExecution.toRdd
+      val parts = new Array[P](rdd.partitions.length)
+      sc.runJob(rdd, (_: TaskContext, it: Iterator[InternalRow]) => partial(it),
+        parts.indices, (i: Int, p: P) => parts(i) = p)
+      parts.foldLeft(zero)(merge)
+    } finally if (outer == null) sc.clearCallSite() else sc.setCallSite(outer)
   }
 
   /** Spark names a job after the first stack frame outside Spark and

@@ -45,16 +45,18 @@ object Harness {
     val ids = labels.distinct.filter(_ != 0)
     if (ids.isEmpty) return labels
     val d = x(0).length
-    val centroids = ids.map { c =>
-      val members = labels.indices.filter(labels(_) == c)
-      val ctr = Array.ofDim[Double](d)
-      for (i <- members; j <- 0 until d) ctr(j) += x(i)(j) / members.length
-      c -> ctr
+    val slot = ids.zipWithIndex.toMap
+    val counts = new Array[Int](ids.length)
+    for (l <- labels if l != 0) counts(slot(l)) += 1
+    val centroids = Array.ofDim[Double](ids.length, d)
+    for (i <- labels.indices if labels(i) != 0) {
+      val c = slot(labels(i))
+      for (j <- 0 until d) centroids(c)(j) += x(i)(j) / counts(c)
     }
-    labels.indices.map { i =>
+    Array.tabulate(labels.length) { i =>
       if (labels(i) != 0) labels(i)
-      else centroids.minBy { case (_, ctr) => LinAlg.sqDist(x(i), ctr) }._1
-    }.toArray
+      else ids(centroids.indices.minBy(c => LinAlg.sqDist(x(i), centroids(c))))
+    }
   }
 
   /** DBSCAN at the best AMI over an ε grid (the paper's protocol:

@@ -120,8 +120,30 @@ class AdaWaveSpec extends SparkSpec {
     val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
     val res = AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2))
     assert(res.points.count() == x.length)
-    assert(res.points.columns.contains(AdaWave.ClusterCol))
-    assert(!res.points.columns.contains(Grid.CellCol))
+    assert(res.points.columns.toSeq == df.columns.toSeq :+ AdaWave.ClusterCol)
+  }
+
+  test("the label pass's closure holds the kept cells, not every occupied cell") {
+    val (x, _) = ClusterData.runningExample(clusterSize = 1400, noiseFrac = 0.8)
+    val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+    val (cols, cfg) = (Seq("f0", "f1"), AdaWaveConfig.auto(2))
+    val res = AdaWave.cluster(df, cols, cfg)
+    val q = Grid.quantize(df, cols, cfg.bins)
+    assert(q.cells.size >= 10 * res.cellLabels.size,
+      s"${q.cells.size} occupied cells, ${res.cellLabels.size} kept")
+    def bytes(o: AnyRef): Int = {
+      val buf = new java.io.ByteArrayOutputStream
+      val out = new java.io.ObjectOutputStream(buf)
+      out.writeObject(o)
+      out.close()
+      buf.size
+    }
+    val udfs = res.points.queryExecution.analyzed.flatMap(_.expressions.flatMap(_.collect {
+      case u: org.apache.spark.sql.catalyst.expressions.ScalaUDF => u.function
+    }))
+    assert(udfs.size == 1)
+    val (closure, cells) = (bytes(udfs.head), bytes(q.cells))
+    assert(closure < cells, s"closure $closure bytes, cells $cells bytes")
   }
 
   test("higher-dimensional data: four separated 7-D Gaussians are recovered") {

@@ -12,8 +12,9 @@ import repro.data.{ClusterData, UciLike}
   * HotSpot leaves any method over 8 000 bytes of bytecode interpreted
   * (`-XX:+DontCompileHugeMethods`, `HugeMethodLimit`). Whole-stage codegen
   * puts a stage into one Java method, so every stage of the plans that touch
-  * every row must stay under that size: the two quantization projections
-  * at d = 33 and d = 64, the label and centroid plans at d = 33.
+  * every row must stay under that size: the quantization projection that
+  * both Grid passes read at d = 33 and d = 64, the label and centroid plans
+  * at d = 33.
   */
 class CodegenSizeSpec extends SparkSpec {
 
@@ -56,9 +57,7 @@ class CodegenSizeSpec extends SparkSpec {
       assert(size < HugeMethodLimit, s"$plan: largest generated method is $size bytes")
     }
 
-  check("bounds")(Grid.boundsRows(frame, cols))
   check("coordinate")(Grid.coordinateRows(frame, cols))
-  check("bounds", 64)(Grid.boundsRows(frame64, cols64))
   check("coordinate", 64)(Grid.coordinateRows(frame64, cols64))
   check("label")(AdaWave.clusterAuto(frame, cols).points)
   check("label + nearest-centroid")(AdaWave.clusterAuto(frame, cols, assignNoise = true).points)

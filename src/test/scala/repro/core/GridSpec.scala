@@ -45,12 +45,6 @@ class GridSpec extends SparkSpec {
     assert(q.cells.size == 2) // not 128², the paper's memory argument
   }
 
-  test("points DataFrame carries the __cell column aligned with inputs") {
-    val q = Grid.quantize(df2(Seq((0.0, 0.0), (1.0, 1.0))), Seq("x", "y"), 4)
-    val cells = q.points.select(Grid.CellCol).collect().map(_.getSeq[Int](0).toVector)
-    assert(cells.toSet == Set(Vector(0, 0), Vector(3, 3)))
-  }
-
   test("quantization is deterministic") {
     val pts = (0 until 200).map(i => (i * 0.017 % 1.0, i * 0.031 % 1.0))
     val a = Grid.quantize(df2(pts), Seq("x", "y"), 32).cells
@@ -66,10 +60,10 @@ class GridSpec extends SparkSpec {
     val pts = (0 until 300).map(i => (math.sin(i * 0.7) * 3 + 3, (i % 17) * 0.21))
     val raw = df2(pts)
     val q = Grid.quantize(raw, Seq("x", "y"), 8)
-    val sparkDf = q.points
-      .select(col(Grid.CellCol)(0) as "gx", col(Grid.CellCol)(1) as "gy")
-      .groupBy("gx", "gy")
-      .agg(count(lit(1)) as "cnt")
+    val sparkDf = {
+      import spark.implicits._
+      q.cells.toSeq.map { case (c, n) => (c(0), c(1), n.toLong) }.toDF("gx", "gy", "cnt")
+    }
     val sql =
       s"""SELECT
          |  LEAST(7, GREATEST(0, CAST(FLOOR((CAST(x AS DOUBLE) - ${q.mins(0)}) / ${q.widths(0)}) AS INT))) AS gx,
@@ -92,6 +86,19 @@ class GridSpec extends SparkSpec {
     spark.createDataFrame(
       spark.sparkContext.parallelize(rows.map(r => Row.fromSeq(r.toSeq)), parts),
       StructType((0 until d).map(i => StructField(s"f$i", DoubleType))))
+
+  /** The points' cell column: the cell kernel as a UDF over the kernel's
+    * input coordinates, as the label pass places each row.
+    */
+  private def cellCol(q: Quantized, cols: Seq[String]): Column = {
+    val (mins, widths, bins) = (q.mins, q.widths, q.bins)
+    val kernel = udf { (xs: Array[Double]) =>
+      val cell = new Array[Int](xs.length)
+      Grid.cellOf(xs, mins, widths, bins, cell)
+      cell
+    }
+    kernel(array(Grid.coordinates(cols): _*))
+  }
 
   /** The per-dimension Catalyst expression `quantize` compiled into a row
     * kernel: the oracle the kernel must agree with on every row.
@@ -147,7 +154,7 @@ class GridSpec extends SparkSpec {
     // column mixing NaN with ±Inf produces; the kernel clamps it instead.
     holds(Prop.forAllNoShrink(frames.filter(_.kind != "nan+inf")) { f =>
       val q = Grid.quantize(f.df, f.cols, f.bins)
-      val got = q.points.select(col(Grid.CellCol), catalystCell(q, f.cols)).collect()
+      val got = f.df.select(cellCol(q, f.cols), catalystCell(q, f.cols)).collect()
       got.length == f.rows.length && got.forall(r => r.getSeq[Int](0) == r.getSeq[Int](1))
     })
   }
@@ -170,7 +177,7 @@ class GridSpec extends SparkSpec {
   test("quantize's cells equal a groupBy count of the points' cell column") {
     holds(Prop.forAllNoShrink(frames) { f =>
       val q = Grid.quantize(f.df, f.cols, f.bins)
-      val counted = q.points.groupBy(col(Grid.CellCol)).count().collect()
+      val counted = f.df.groupBy(cellCol(q, f.cols)).count().collect()
         .map(r => r.getSeq[Int](0).toVector -> r.getLong(1).toDouble).toMap
       q.cells == counted && q.cells.values.sum == f.rows.length
     })
@@ -216,6 +223,5 @@ class GridSpec extends SparkSpec {
   test("quantize on an empty frame has no cells") {
     val q = Grid.quantize(frame(Seq.empty, 3), Seq("f0", "f1", "f2"), 8)
     assert(q.cells.isEmpty)
-    assert(q.points.count() == 0)
   }
 }

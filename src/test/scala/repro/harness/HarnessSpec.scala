@@ -1,6 +1,8 @@
 package repro.harness
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
+import repro.baselines.LinAlg
 import repro.eval.AMI
 import scala.util.Random
 
@@ -18,6 +20,41 @@ class HarnessSpec extends SparkSpec {
     val x = Array(Array(0.0), Array(1.0))
     val labels = Array(0, 0)
     assert(Harness.assignNoise(x, labels).sameElements(labels))
+  }
+
+  /** `assignNoise` as first written: one filter of every label per
+    * cluster. The oracle its one-count-pass version must equal bit for bit.
+    */
+  private def assignNoiseOracle(x: Array[Array[Double]], labels: Array[Int]): Array[Int] = {
+    val ids = labels.distinct.filter(_ != 0)
+    if (ids.isEmpty) return labels
+    val d = x(0).length
+    val centroids = ids.map { c =>
+      val members = labels.indices.filter(labels(_) == c)
+      val ctr = Array.ofDim[Double](d)
+      for (i <- members; j <- 0 until d) ctr(j) += x(i)(j) / members.length
+      c -> ctr
+    }
+    labels.indices.map { i =>
+      if (labels(i) != 0) labels(i)
+      else centroids.minBy { case (_, ctr) => LinAlg.sqDist(x(i), ctr) }._1
+    }.toArray
+  }
+
+  test("assignNoise equals the per-cluster-filter version on every input") {
+    // Coordinates on a coarse lattice make exact distance ties common; a
+    // few NaNs pin how a NaN distance orders.
+    val coord = Gen.frequency(20 -> Gen.choose(0, 4).map(_ * 0.25), 1 -> Gen.const(Double.NaN))
+    val inputs = for {
+      d <- Gen.choose(1, 4)
+      n <- Gen.choose(0, 40)
+      x <- Gen.listOfN(n, Gen.listOfN(d, coord).map(_.toArray))
+      labels <- Gen.listOfN(n, Gen.frequency(3 -> Gen.const(0), 2 -> Gen.choose(-2, 5)))
+    } yield (x.toArray, labels.toArray)
+    val prop = Prop.forAllNoShrink(inputs) { case (x, labels) =>
+      Harness.assignNoise(x, labels).sameElements(assignNoiseOracle(x, labels))
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop).passed)
   }
 
   test("extend1NN propagates sample labels to all points") {
