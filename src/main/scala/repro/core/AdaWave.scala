@@ -74,52 +74,67 @@ object AdaWave {
 
   def cluster(df: DataFrame, cols: Seq[String], cfg: AdaWaveConfig): AdaWaveResult = {
     val q = Grid.quantize(df, cols, cfg.bins)
-    run(df, cols, q, q.cells, 0, cfg)
+    // Step 2: wavelet decomposition, average subband only.
+    val transformed = Wavelet.transform(q.cells, cols.size, cfg.family, cfg.levels)
+    run(df, cols, q, transformed, cfg.levels, cfg.diagonal, cfg.assignNoise)
   }
 
   /** Fully parameter-free entry point. For d ≤ 2 this is the paper's
     * default (`scale = 128`, CDF(2,2)). For higher dimensions the grid
     * resolution is auto-calibrated to the data's (unknown) intrinsic
-    * dimension: quantize once at a fine 64-bin grid, then merge cells
-    * dyadically (a driver-side O(M) fold — Haar cells nest) until the
-    * occupied-cell count drops below n/3, i.e. until cells hold enough
-    * points for densities to be meaningful. Each level is coarsened once,
-    * and the last accepted level goes straight to the Haar transform.
+    * dimension: quantize once at a fine 64-bin grid, then pick the number
+    * of dyadic levels to merge (Haar cells nest) so that the occupied-cell
+    * count drops below n/3, i.e. cells hold enough points for densities to
+    * be meaningful, and take the Haar average subband ([[calibrate]]). The
+    * calibration runs on the density pass's flat cell table; the fine
+    * cells are never boxed.
     */
   def clusterAuto(df: DataFrame, cols: Seq[String], assignNoise: Boolean = false): AdaWaveResult = {
     val d = cols.size
     if (d <= 2)
       return cluster(df, cols, AdaWaveConfig.auto(d, assignNoise = assignNoise))
-    val fine = 64
-    val q = Grid.quantize(df, cols, fine)
-    val n = q.cells.values.sum
-    // Look one level ahead: the transform downsamples once more, so the
-    // resolution that matters for densities is bins/2.
-    @tailrec def calibrate(cells: Map[Vector[Int], Double], shift: Int): (Map[Vector[Int], Double], Int) =
-      if ((fine >> shift) <= 4) (cells, shift)
-      else {
-        val next = coarsen(cells)
-        if (next.size > n / 3) calibrate(next, shift + 1) else (cells, shift)
-      }
-    val (cells, shift) = calibrate(q.cells, 0)
-    val cfg = AdaWaveConfig(bins = fine >> shift, levels = 1, family = Wavelet.Haar,
-      diagonal = false, assignNoise = assignNoise)
-    run(df, cols, q, cells, shift, cfg)
+    val q = Grid.quantize(df, cols, 64)
+    val (transformed, shift) = calibrate(q.counts, q.bins)
+    run(df, cols, q, transformed, shift + 1, diagonal = false, assignNoise)
+  }
+
+  /** Calibrates `fine` (cells of a `bins`-bin grid) and returns its Haar
+    * average subband with the calibration shift.
+    *
+    * Looking one level ahead, since the transform downsamples once more:
+    * the shift advances while the grid keeps more than 4 bins and the count
+    * of distinct cells `p >> (shift + 1)` is above n/3. Each level is merged
+    * once from the one before, and the last merge, at `shift + 1`, is the
+    * transform: the Haar average subband is that merge weighted 2^-d. The
+    * counts are integers and the weight a power of two, so this equals
+    * `shift` [[coarsen]]s followed by `Wavelet.transform(_, d, Haar, 1)`
+    * exactly.
+    */
+  private[core] def calibrate(fine: CellCounts, bins: Int): (Map[Vector[Int], Double], Int) = {
+    val n = fine.total.toDouble
+    @tailrec def advance(level: CellCounts, shift: Int): (CellCounts, Int) = {
+      val next = level.merged(1)
+      if ((bins >> shift) > 4 && next.size > n / 3) advance(next, shift + 1) else (next, shift)
+    }
+    val (merged, shift) = advance(fine, 0)
+    (merged.toMap(math.scalb(1.0, -fine.d)), shift)
   }
 
   /** Merge a sparse cell map one dyadic level coarser (Haar-nested): the
-    * Haar low-pass with its 2^-d weight left out.
+    * Haar low-pass with its 2^-d weight left out. No production path calls
+    * it: [[clusterAuto]] merges the flat cell table instead ([[calibrate]]).
+    * It remains for the benchmark's replay of the old calibration loop and
+    * goes when that replay does.
     */
   def coarsen(cells: Map[Vector[Int], Double]): Map[Vector[Int], Double] =
     Wavelet.dyadicMerge(cells, 1, 1.0)
 
-  /** Steps 2–6 on `cells` (`q.cells` coarsened `coarsenShift` times); labels `df`. */
-  private def run(df: DataFrame, cols: Seq[String], q: Quantized, cells: Map[Vector[Int], Double],
-                  coarsenShift: Int, cfg: AdaWaveConfig): AdaWaveResult = {
+  /** Steps 3–6 on the transformed cells; labels `df`. A row's fine-grid
+    * cell shifted right by `labelShift` is its transformed cell.
+    */
+  private def run(df: DataFrame, cols: Seq[String], q: Quantized, transformed: Map[Vector[Int], Double],
+                  labelShift: Int, diagonal: Boolean, assignNoise: Boolean): AdaWaveResult = {
     val d = cols.size
-    // Step 2: wavelet decomposition, average subband only.
-    val transformed = Wavelet.transform(cells, d, cfg.family, cfg.levels)
-
     // Step 3: adaptive threshold filtering ("elbow theory"). Negative
     // coefficients (side lobes of the hat filter over noise) are unphysical
     // densities — drop them before the curve is fitted.
@@ -128,21 +143,20 @@ object AdaWave {
     val kept = positive.collect { case (c, v) if v >= thr => c }.toSet
 
     // Step 4: connected components in the transformed feature space.
-    val labels = ConnectedComponents.label(kept, cfg.diagonal && d <= 8)
+    val labels = ConnectedComponents.label(kept, diagonal && d <= 8)
     val numClusters = if (labels.isEmpty) 0 else labels.values.max
 
-    // Step 5/6: lookup table original cell → transformed cell → label. Each
-    // row's fine-grid cell is shifted by coarsening + transform levels. The
+    // Step 5/6: lookup table original cell → transformed cell → label. The
     // closure holds only what the lookup reads, not `q` and its M cells.
-    val (mins, widths, bins, shift) = (q.mins, q.widths, q.bins, coarsenShift + cfg.levels)
+    val (mins, widths, bins) = (q.mins, q.widths, q.bins)
     val labelUdf = udf { (xs: Array[Double]) =>
       val cell = new Array[Int](xs.length)
       Grid.cellOf(xs, mins, widths, bins, cell)
-      labels.getOrElse(Vector.tabulate(cell.length)(cell(_) >> shift), NoiseLabel)
+      labels.getOrElse(Vector.tabulate(cell.length)(cell(_) >> labelShift), NoiseLabel)
     }
     var labeled = df.withColumn(ClusterCol, labelUdf(array(Grid.coordinates(cols): _*)))
 
-    if (cfg.assignNoise && numClusters > 0) labeled = assignNoiseToNearest(labeled, cols, numClusters)
+    if (assignNoise && numClusters > 0) labeled = assignNoiseToNearest(labeled, cols, numClusters)
 
     AdaWaveResult(labeled, numClusters, thr, labels)
   }

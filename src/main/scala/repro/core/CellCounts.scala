@@ -12,7 +12,7 @@ import scala.util.hashing.MurmurHash3
   * cell is boxed, so counting N points into M cells allocates O(M·d) ints,
   * not a key object per point.
   */
-private[core] final class CellCounts(d: Int) {
+private[core] final class CellCounts(val d: Int) {
 
   private var coords = new Array[Int](16 * d)
   private var counts = new Array[Long](16)
@@ -53,12 +53,41 @@ private[core] final class CellCounts(d: Int) {
   def rows: (Array[Int], Array[Long]) =
     (java.util.Arrays.copyOf(coords, n * d), java.util.Arrays.copyOf(counts, n))
 
-  def toMap: Map[Vector[Int], Double] = {
+  /** The number of occupied cells. */
+  def size: Int = n
+
+  /** The number of points in all cells. */
+  def total: Long = {
+    var t = 0L
+    var j = 0
+    while (j < n) { t += counts(j); j += 1 }
+    t
+  }
+
+  /** The table one or more dyadic levels coarser: every cell `p` goes to
+    * `p >> shift` in each dimension and the counts that meet are summed.
+    * This is [[Wavelet.dyadicMerge]] with weight 1, without boxing a cell.
+    */
+  def merged(shift: Int): CellCounts = {
+    val out = new CellCounts(d)
+    val cell = new Array[Int](d)
+    var j = 0
+    while (j < n) {
+      var i = 0
+      while (i < d) { cell(i) = coords(j * d + i) >> shift; i += 1 }
+      out.add(cell, 0, counts(j))
+      j += 1
+    }
+    out
+  }
+
+  /** Boxes the table as `{cell → count · weight}`. */
+  def toMap(weight: Double): Map[Vector[Int], Double] = {
     val b = Map.newBuilder[Vector[Int], Double]
     b.sizeHint(n)
     var j = 0
     while (j < n) {
-      b += Vector.from(coords.slice(j * d, (j + 1) * d)) -> counts(j).toDouble
+      b += Vector.from(coords.slice(j * d, (j + 1) * d)) -> counts(j).toDouble * weight
       j += 1
     }
     b.result()

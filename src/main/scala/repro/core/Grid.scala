@@ -5,17 +5,24 @@ import org.apache.spark.sql.functions._
 
 /** Result of quantizing a point set onto a sparse grid.
   *
-  * @param cells  the paper's "grid labeling" structure: only non-empty
-  *               cells, as `{cell coordinates → point count}`
+  * @param counts the folded cell counts of the density pass, in a flat
+  *               primitive table
   * @param mins   per-dimension minimum used for scaling
   * @param widths per-dimension bin width (never zero)
   * @param bins   bins per dimension
   */
-final case class Quantized(
-    cells: Map[Vector[Int], Double],
-    mins: Array[Double],
-    widths: Array[Double],
-    bins: Int)
+final class Quantized private[core] (
+    private[core] val counts: CellCounts,
+    val mins: Array[Double],
+    val widths: Array[Double],
+    val bins: Int) {
+
+  /** The paper's "grid labeling" structure: only non-empty cells, as
+    * `{cell coordinates → point count}`. A boxed view of [[counts]], built
+    * on first use; `AdaWave.clusterAuto` never builds it.
+    */
+  lazy val cells: Map[Vector[Int], Double] = counts.toMap(1.0)
+}
 
 /** Step 1 of AdaWave (§IV-A): quantize the feature space.
   *
@@ -32,8 +39,8 @@ final case class Quantized(
   *  - density: each partition places every row with the cell kernel
   *    [[cellOf]] and counts the cells in a flat primitive table
   *    ([[CellCounts]]).
-  * The driver folds the partitions in order; only the sparse
-  * `{cell → density}` map (size M ≪ N) reaches it. An empty frame has no
+  * The driver folds the partitions in order; only the sparse table of
+  * occupied cells (size M ≪ N) reaches it. An empty frame has no
   * cells. The label pass places each row again with the same kernel.
   */
 object Grid {
@@ -61,7 +68,7 @@ object Grid {
       }
       counts.rows
     }(new CellCounts(d))(_ addAll _)
-    Quantized(cells.toMap, mins, widths, bins)
+    new Quantized(cells, mins, widths, bins)
   }
 
   /** Per-column (min, max) over the non-null values of `coords`. A column

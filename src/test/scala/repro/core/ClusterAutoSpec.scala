@@ -1,8 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.data.ClusterData
 import repro.eval.AMI
+import scala.annotation.tailrec
+import scala.collection.mutable
 import scala.util.Random
 
 class ClusterAutoSpec extends SparkSpec {
@@ -19,9 +23,57 @@ class ClusterAutoSpec extends SparkSpec {
     val rnd = new Random(1)
     val cells = (0 until 100).map(_ => Vector(rnd.nextInt(64), rnd.nextInt(64)) -> 1.0)
       .groupMapReduce(_._1)(_._2)(_ + _)
-    val twice = AdaWave.coarsen(AdaWave.coarsen(cells))
-    assert(twice.keySet == cells.keySet.map(_.map(_ >> 2)))
-    assert(math.abs(twice.values.sum - cells.values.sum) < 1e-9)
+    assert(AdaWave.coarsen(AdaWave.coarsen(cells)) == Wavelet.dyadicMerge(cells, 2, 1.0))
+  }
+
+  /** The calibration `clusterAuto` ran on boxed cells before it used the
+    * flat table: coarsen while the grid keeps more than 4 bins and the
+    * next level has more than n/3 cells, then take the Haar transform.
+    */
+  private def boxedCalibrate(grid: Map[Vector[Int], Double], d: Int): (Map[Vector[Int], Double], Int) = {
+    val fine = 64
+    val n = grid.values.sum
+    @tailrec def calibrate(cells: Map[Vector[Int], Double], shift: Int): (Map[Vector[Int], Double], Int) =
+      if ((fine >> shift) <= 4) (cells, shift)
+      else {
+        val next = AdaWave.coarsen(cells)
+        if (next.size > n / 3) calibrate(next, shift + 1) else (cells, shift)
+      }
+    val (cells, shift) = calibrate(grid, 0)
+    (Wavelet.transform(cells, d, Wavelet.Haar, 1), shift)
+  }
+
+  /** Count grids on 64 bins with d in 3..33: groups of up to 8 points, each
+    * point up to 2^spread - 1 bins above its group's base in every
+    * dimension. The spread sets how many levels the groups take to
+    * collapse, so every calibration shift occurs; zero groups make the
+    * empty grid.
+    */
+  private val skewedGrids: Gen[(Int, Map[Vector[Int], Double])] = for {
+    d <- Gen.chooseNum(3, 33)
+    spread <- Gen.chooseNum(0, 6)
+    groups <- Gen.chooseNum(0, 12)
+    group = for {
+      base <- Gen.listOfN(d, Gen.chooseNum(0, 63))
+      pts <- Gen.chooseNum(1, 8)
+      offsets <- Gen.listOfN(pts, Gen.zip(Gen.listOfN(d, Gen.chooseNum(0, (1 << spread) - 1)), Gen.chooseNum(1, 3)))
+    } yield offsets.map { case (off, n) => base.zip(off).map { case (b, o) => math.min(63, b + o) }.toVector -> n }
+    cells <- Gen.listOfN(groups, group)
+  } yield (d, cells.flatten.groupMapReduce(_._1)(_._2.toDouble)(_ + _))
+
+  test("calibrate equals the boxed coarsen loop followed by the Haar transform") {
+    val shifts = mutable.Set.empty[Int]
+    val prop = Prop.forAll(skewedGrids) { case (d, grid) =>
+      val table = new CellCounts(d)
+      grid.foreach { case (c, n) => table.add(c.toArray, 0, n.toLong) }
+      val got = AdaWave.calibrate(table, 64)
+      shifts += got._2
+      got == boxedCalibrate(grid, d)
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(8L))
+    assert(SCTest.check(params, prop).passed)
+    assert(shifts == Set(0, 1, 2, 3, 4), s"shifts seen: $shifts")
+    assert(AdaWave.calibrate(new CellCounts(3), 64) == (Map.empty, 0))
   }
 
   test("clusterAuto on 2-D equals the paper-default cluster() path") {

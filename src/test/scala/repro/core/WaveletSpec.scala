@@ -149,6 +149,16 @@ class WaveletSpec extends AnyFunSuite {
     }, 100)
   }
 
+  test("the flat merge of a count table equals dyadicMerge and keeps the total count") {
+    check(Prop.forAll(countGrids, Gen.chooseNum(1, 6)) { case ((d, _, grid), shift) =>
+      val table = new CellCounts(d)
+      grid.foreach { case (c, n) => table.add(c.toArray, 0, n.toLong) }
+      val merged = table.merged(shift)
+      merged.toMap(1.0) == dyadicMerge(grid, shift, 1.0) &&
+        merged.total == table.total && merged.total == grid.values.sum
+    }, 100)
+  }
+
   test("Haar keeps one-point cells when d·levels reaches 40") {
     val two = Map(Vector.fill(20)(6) -> 1.0, Vector.fill(20)(40) -> 3.0)
     assert(transform(two, 20, Haar, 2) ==
