@@ -50,13 +50,13 @@ object AdaWaveConfig {
   * @param points      input rows + a `cluster` column (0 = noise)
   * @param numClusters number of connected components found
   * @param threshold   the adaptive density threshold that was applied
-  * @param cellLabels  transformed-space cell → cluster id
+  * @param cellLabels  the kept transformed cells, valued by cluster id
   */
 final case class AdaWaveResult(
     points: DataFrame,
     numClusters: Int,
     threshold: Double,
-    cellLabels: Map[Vector[Int], Int])
+    cellLabels: CellGrid)
 
 /** AdaWave (Algorithm 1): quantize → wavelet transform → adaptive threshold
   * → connected components → lookup table → point labels.
@@ -75,7 +75,7 @@ object AdaWave {
   def cluster(df: DataFrame, cols: Seq[String], cfg: AdaWaveConfig): AdaWaveResult = {
     val q = Grid.quantize(df, cols, cfg.bins)
     // Step 2: wavelet decomposition, average subband only.
-    val transformed = Wavelet.transform(q.cells, cols.size, cfg.family, cfg.levels)
+    val transformed = Wavelet.transform(q.grid, cfg.family, cfg.levels)
     run(df, cols, q, transformed, cfg.levels, cfg.diagonal, cfg.assignNoise)
   }
 
@@ -85,16 +85,14 @@ object AdaWave {
     * dimension: quantize once at a fine 64-bin grid, then pick the number
     * of dyadic levels to merge (Haar cells nest) so that the occupied-cell
     * count drops below n/3, i.e. cells hold enough points for densities to
-    * be meaningful, and take the Haar average subband ([[calibrate]]). The
-    * calibration runs on the density pass's flat cell table; the fine
-    * cells are never boxed.
+    * be meaningful, and take the Haar average subband ([[calibrate]]).
     */
   def clusterAuto(df: DataFrame, cols: Seq[String], assignNoise: Boolean = false): AdaWaveResult = {
     val d = cols.size
     if (d <= 2)
       return cluster(df, cols, AdaWaveConfig.auto(d, assignNoise = assignNoise))
     val q = Grid.quantize(df, cols, 64)
-    val (transformed, shift) = calibrate(q.counts, q.bins)
+    val (transformed, shift) = calibrate(q.grid, q.bins)
     run(df, cols, q, transformed, shift + 1, diagonal = false, assignNoise)
   }
 
@@ -107,44 +105,40 @@ object AdaWave {
     * once from the one before, and the last merge, at `shift + 1`, is the
     * transform: the Haar average subband is that merge weighted 2^-d. The
     * counts are integers and the weight a power of two, so this equals
-    * `shift` [[coarsen]]s followed by `Wavelet.transform(_, d, Haar, 1)`
+    * `shift` one-level merges followed by `Wavelet.transform(_, Haar, 1)`
     * exactly.
     */
-  private[core] def calibrate(fine: CellCounts, bins: Int): (Map[Vector[Int], Double], Int) = {
-    val n = fine.total.toDouble
-    @tailrec def advance(level: CellCounts, shift: Int): (CellCounts, Int) = {
-      val next = level.merged(1)
+  private[core] def calibrate(fine: CellGrid, bins: Int): (CellGrid, Int) = {
+    val n = fine.values.sum
+    @tailrec def advance(level: CellGrid, shift: Int): (CellGrid, Int) = {
+      val next = level.merged(1, 1.0)
       if ((bins >> shift) > 4 && next.size > n / 3) advance(next, shift + 1) else (next, shift)
     }
     val (merged, shift) = advance(fine, 0)
-    (merged.toMap(math.scalb(1.0, -fine.d)), shift)
+    (merged.withValues(merged.values.map(math.scalb(_, -fine.d))), shift)
   }
 
-  /** Merge a sparse cell map one dyadic level coarser (Haar-nested): the
-    * Haar low-pass with its 2^-d weight left out. No production path calls
-    * it: [[clusterAuto]] merges the flat cell table instead ([[calibrate]]).
-    * It remains for the benchmark's replay of the old calibration loop and
-    * goes when that replay does.
+  /** Merges boxed cells one dyadic level coarser: the Haar low-pass without
+    * its 2^-d weight. A replay shim (ROADMAP item 1).
     */
   def coarsen(cells: Map[Vector[Int], Double]): Map[Vector[Int], Double] =
-    Wavelet.dyadicMerge(cells, 1, 1.0)
+    CellGrid.fromMap(cells).merged(1, 1.0).toMap
 
   /** Steps 3–6 on the transformed cells; labels `df`. A row's fine-grid
     * cell shifted right by `labelShift` is its transformed cell.
     */
-  private def run(df: DataFrame, cols: Seq[String], q: Quantized, transformed: Map[Vector[Int], Double],
+  private def run(df: DataFrame, cols: Seq[String], q: Quantized, transformed: CellGrid,
                   labelShift: Int, diagonal: Boolean, assignNoise: Boolean): AdaWaveResult = {
     val d = cols.size
     // Step 3: adaptive threshold filtering ("elbow theory"). Negative
     // coefficients (side lobes of the hat filter over noise) are unphysical
     // densities — drop them before the curve is fitted.
-    val positive = transformed.filter { case (_, v) => v > 0 }
+    val positive = transformed.filter(_ > 0)
     val thr = Elbow.threshold(positive.values)
-    val kept = positive.collect { case (c, v) if v >= thr => c }.toSet
 
     // Step 4: connected components in the transformed feature space.
-    val labels = ConnectedComponents.label(kept, diagonal && d <= 8)
-    val numClusters = if (labels.isEmpty) 0 else labels.values.max
+    val labels = ConnectedComponents.label(positive.filter(_ >= thr), diagonal && d <= 8)
+    val numClusters = labels.values.foldLeft(0.0)(math.max).toInt
 
     // Step 5/6: lookup table original cell → transformed cell → label. The
     // closure holds only what the lookup reads, not `q` and its M cells.
@@ -152,7 +146,10 @@ object AdaWave {
     val labelUdf = udf { (xs: Array[Double]) =>
       val cell = new Array[Int](xs.length)
       Grid.cellOf(xs, mins, widths, bins, cell)
-      labels.getOrElse(Vector.tabulate(cell.length)(cell(_) >> labelShift), NoiseLabel)
+      var i = 0
+      while (i < cell.length) { cell(i) >>= labelShift; i += 1 }
+      val j = labels.indexOf(cell, 0)
+      if (j < 0) NoiseLabel else labels.value(j).toInt
     }
     var labeled = df.withColumn(ClusterCol, labelUdf(array(Grid.coordinates(cols): _*)))
 

@@ -5,23 +5,19 @@ import org.apache.spark.sql.functions._
 
 /** Result of quantizing a point set onto a sparse grid.
   *
-  * @param counts the folded cell counts of the density pass, in a flat
-  *               primitive table
+  * @param grid   the occupied cells with their point counts
   * @param mins   per-dimension minimum used for scaling
   * @param widths per-dimension bin width (never zero)
   * @param bins   bins per dimension
   */
 final class Quantized private[core] (
-    private[core] val counts: CellCounts,
+    private[core] val grid: CellGrid,
     val mins: Array[Double],
     val widths: Array[Double],
     val bins: Int) {
 
-  /** The paper's "grid labeling" structure: only non-empty cells, as
-    * `{cell coordinates → point count}`. A boxed view of [[counts]], built
-    * on first use; `AdaWave.clusterAuto` never builds it.
-    */
-  lazy val cells: Map[Vector[Int], Double] = counts.toMap(1.0)
+  /** [[grid]] boxed as `{cell → point count}`. A replay shim (ROADMAP item 1). */
+  lazy val cells: Map[Vector[Int], Double] = grid.toMap
 }
 
 /** Step 1 of AdaWave (§IV-A): quantize the feature space.
@@ -38,7 +34,7 @@ final class Quantized private[core] (
   *    `max` order it;
   *  - density: each partition places every row with the cell kernel
   *    [[cellOf]] and counts the cells in a flat primitive table
-  *    ([[CellCounts]]).
+  *    ([[CellGrid]]).
   * The driver folds the partitions in order; only the sparse table of
   * occupied cells (size M ≪ N) reaches it. An empty frame has no
   * cells. The label pass places each row again with the same kernel.
@@ -59,15 +55,15 @@ object Grid {
     val cells = PartitionFold(coords) { rows =>
       val xs = new Array[Double](d)
       val cell = new Array[Int](d)
-      val counts = new CellCounts(d)
+      val counts = new CellGrid(d)
       rows.foreach { r =>
         var i = 0
         while (i < d) { xs(i) = if (r.isNullAt(i)) Double.NaN else r.getDouble(i); i += 1 }
         cellOf(xs, mins, widths, bins, cell)
-        counts.add(cell, 0, 1L)
+        counts.add(cell, 0, 1.0)
       }
       counts.rows
-    }(new CellCounts(d))(_ addAll _)
+    }(new CellGrid(d))(_ addAll _)
     new Quantized(cells, mins, widths, bins)
   }
 

@@ -1,15 +1,13 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Discrete wavelet transform over sparse d-dimensional grids.
   *
   * AdaWave (§III, §IV-B) only ever consumes the *average subband*
   * (L_x L_y ... in every dimension): the quantized density grid is convolved
   * with the analysis low-pass filter of the chosen wavelet family along one
   * dimension at a time and dyadically downsampled. The grid is stored
-  * sparsely as `{cell → density}` (the paper's "grid labeling" structure),
-  * so the convolution is implemented scatter-style: each non-zero input cell
+  * sparsely as a [[CellGrid]] (the paper's "grid labeling" structure), so
+  * the convolution is implemented scatter-style: each non-zero input cell
   * contributes `h(j) * density` to the output cell whose coordinate along
   * the active dimension is `k = (p + center - j) / 2` (for the taps where
   * that is a non-negative integer). Cells outside the grid are implicitly
@@ -65,74 +63,49 @@ object Wavelet {
 
   val families: Seq[Family] = Seq(Haar, Daubechies4, CDF22)
 
-  type Cell = Vector[Int]
-
   /** One low-pass + downsample-by-2 pass along `dim` of a sparse grid.
     *
     * Cell `p` with tap `j` contributes `h(j) * v` to output coordinate
     * `k = (p + center - j) / 2` (when that is a non-negative integer), so
-    * the dominant tap maps `p → p >> 1`.
+    * the dominant tap maps `p → p >> 1`. Cells whose sum is within 1e-12
+    * of 0 are dropped.
     */
-  def transformDim(grid: Map[Cell, Double], dim: Int, h: Array[Double],
-                   center: Int): Map[Cell, Double] = {
-    val out = mutable.HashMap.empty[Cell, Double]
-    for ((cell, v) <- grid; j <- h.indices) {
-      val num = cell(dim) + center - j
+  private[core] def transformDim(grid: CellGrid, dim: Int, h: Array[Double], center: Int): CellGrid = {
+    val out = new CellGrid(grid.d)
+    val cell = new Array[Int](grid.d)
+    for (r <- 0 until grid.size; j <- h.indices) {
+      val num = grid.coord(r, dim) + center - j
       if (num >= 0 && num % 2 == 0) {
-        val dst = cell.updated(dim, num / 2)
-        out.update(dst, out.getOrElse(dst, 0.0) + h(j) * v)
+        for (i <- cell.indices) cell(i) = grid.coord(r, i)
+        cell(dim) = num / 2
+        out.add(cell, 0, h(j) * grid.value(r))
       }
     }
-    out.filter { case (_, v) => math.abs(v) > 1e-12 }.toMap
+    out.filter(v => math.abs(v) > 1e-12)
   }
 
-  /** `levels` rounds of the average-subband transform over all `d` dims
-    * (`d` is the cells' dimension).
+  /** `levels` rounds of the average-subband transform over every dimension.
     *
-    * Haar is one [[dyadicMerge]]: after `levels` rounds cell `p` lands in
-    * `p >> levels` with weight 2^-(d·levels), so the transformed cell is the
-    * mean of the 2^(d·levels) cells it covers. On integer counts every
+    * Haar is one [[CellGrid.merged]]: after `levels` rounds cell `p` lands
+    * in `p >> levels` with weight 2^-(d·levels), so the transformed cell is
+    * the mean of the 2^(d·levels) cells it covers. On integer counts every
     * partial sum is an integer times a power of two, so this equals the
     * chain of `d·levels` [[transformDim]] passes exactly. The other
-    * families run that chain.
+    * families run that chain. CDF(2,2)'s taps are multiples of 1/8, so on
+    * integer counts its partial sums are exact too, in any order, as long
+    * as they fit a double's 53 bits.
     */
-  def transform(grid: Map[Cell, Double], d: Int, family: Family, levels: Int): Map[Cell, Double] =
+  def transform(grid: CellGrid, family: Family, levels: Int): CellGrid =
     family match {
-      case Haar => dyadicMerge(grid, levels, math.scalb(1.0, -d * levels))
+      case Haar => grid.merged(levels, math.scalb(1.0, -grid.d * levels))
       case _ =>
         var g = grid
-        for (_ <- 0 until levels; dim <- 0 until d)
+        for (_ <- 0 until levels; dim <- 0 until grid.d)
           g = transformDim(g, dim, family.lowPass, family.center)
         g
     }
 
-  /** Sends every cell `p` to `p >> shift` in each dimension, sums the values
-    * that meet and scales each sum by `weight`. Only cells whose scaled sum
-    * is exactly 0 are dropped, so a lone point keeps its cell at any depth.
-    */
-  def dyadicMerge(grid: Map[Cell, Double], shift: Int, weight: Double): Map[Cell, Double] = {
-    val sums = mutable.HashMap.empty[Cell, Array[Double]]
-    for ((cell, v) <- grid) sums.getOrElseUpdate(cell.map(_ >> shift), Array(0.0))(0) += v
-    val out = Map.newBuilder[Cell, Double]
-    for ((cell, s) <- sums) {
-      val v = s(0) * weight
-      if (v != 0.0) out += cell -> v
-    }
-    out.result()
-  }
-
-  /** Dense 1-D reference implementation (tests compare sparse vs dense).
-    *
-    * `a(k) = Σ_j h(j) · x(2k + j - center)` with zero-padding, matching the
-    * sparse scatter formula above exactly.
-    */
-  def dwt1D(x: Array[Double], h: Array[Double], center: Int = 0): Array[Double] = {
-    val outLen = (x.length - 1 + center) / 2 + 1
-    val out = Array.ofDim[Double](outLen)
-    for (k <- 0 until outLen; j <- h.indices) {
-      val src = 2 * k + j - center
-      if (src >= 0 && src < x.length) out(k) += h(j) * x(src)
-    }
-    out
-  }
+  /** [[transform]] on boxed cells of dimension `d`. A replay shim (ROADMAP item 1). */
+  def transform(grid: Map[Vector[Int], Double], d: Int, family: Family, levels: Int): Map[Vector[Int], Double] =
+    transform(CellGrid.fromMap(grid), family, levels).toMap
 }

@@ -112,7 +112,7 @@ class AdaWaveSpec extends SparkSpec {
     val res = AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2))
     assert(res.threshold > 0)
     assert(res.numClusters >= 3, s"found ${res.numClusters}")
-    assert(res.cellLabels.nonEmpty)
+    assert(res.cellLabels.size > 0)
   }
 
   test("cluster column joins back onto every input row") {
@@ -129,8 +129,8 @@ class AdaWaveSpec extends SparkSpec {
     val (cols, cfg) = (Seq("f0", "f1"), AdaWaveConfig.auto(2))
     val res = AdaWave.cluster(df, cols, cfg)
     val q = Grid.quantize(df, cols, cfg.bins)
-    assert(q.cells.size >= 10 * res.cellLabels.size,
-      s"${q.cells.size} occupied cells, ${res.cellLabels.size} kept")
+    assert(q.grid.size >= 10 * res.cellLabels.size,
+      s"${q.grid.size} occupied cells, ${res.cellLabels.size} kept")
     def bytes(o: AnyRef): Int = {
       val buf = new java.io.ByteArrayOutputStream
       val out = new java.io.ObjectOutputStream(buf)
@@ -142,7 +142,7 @@ class AdaWaveSpec extends SparkSpec {
       case u: org.apache.spark.sql.catalyst.expressions.ScalaUDF => u.function
     }))
     assert(udfs.size == 1)
-    val (closure, cells) = (bytes(udfs.head), bytes(q.cells))
+    val (closure, cells) = (bytes(udfs.head), bytes(q.grid))
     assert(closure < cells, s"closure $closure bytes, cells $cells bytes")
   }
 
@@ -190,7 +190,7 @@ class AdaWaveSpec extends SparkSpec {
     val df = ClusterData.toDFn(spark, Array(Array(0.0, 0.0)), Array(0)).limit(0)
     val res = AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2, assignNoise = true))
     assert(res.numClusters == 0)
-    assert(res.cellLabels.isEmpty)
+    assert(res.cellLabels.size == 0)
     assert(res.points.count() == 0)
     assert(res.points.columns.contains(AdaWave.ClusterCol))
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.data.ClusterData
 import repro.eval.AMI
 import scala.annotation.tailrec
@@ -23,12 +23,13 @@ class ClusterAutoSpec extends SparkSpec {
     val rnd = new Random(1)
     val cells = (0 until 100).map(_ => Vector(rnd.nextInt(64), rnd.nextInt(64)) -> 1.0)
       .groupMapReduce(_._1)(_._2)(_ + _)
-    assert(AdaWave.coarsen(AdaWave.coarsen(cells)) == Wavelet.dyadicMerge(cells, 2, 1.0))
+    assert(AdaWave.coarsen(AdaWave.coarsen(cells)) == Oracle.dyadicMerge(cells, 2, 1.0))
   }
 
   /** The calibration `clusterAuto` ran on boxed cells before it used the
     * flat table: coarsen while the grid keeps more than 4 bins and the
-    * next level has more than n/3 cells, then take the Haar transform.
+    * next level has more than n/3 cells, then take the Haar transform
+    * (a one-level merge weighted 2^-d).
     */
   private def boxedCalibrate(grid: Map[Vector[Int], Double], d: Int): (Map[Vector[Int], Double], Int) = {
     val fine = 64
@@ -36,11 +37,11 @@ class ClusterAutoSpec extends SparkSpec {
     @tailrec def calibrate(cells: Map[Vector[Int], Double], shift: Int): (Map[Vector[Int], Double], Int) =
       if ((fine >> shift) <= 4) (cells, shift)
       else {
-        val next = AdaWave.coarsen(cells)
+        val next = Oracle.dyadicMerge(cells, 1, 1.0)
         if (next.size > n / 3) calibrate(next, shift + 1) else (cells, shift)
       }
     val (cells, shift) = calibrate(grid, 0)
-    (Wavelet.transform(cells, d, Wavelet.Haar, 1), shift)
+    (Oracle.dyadicMerge(cells, 1, math.scalb(1.0, -d)), shift)
   }
 
   /** Count grids on 64 bins with d in 3..33: groups of up to 8 points, each
@@ -64,16 +65,15 @@ class ClusterAutoSpec extends SparkSpec {
   test("calibrate equals the boxed coarsen loop followed by the Haar transform") {
     val shifts = mutable.Set.empty[Int]
     val prop = Prop.forAll(skewedGrids) { case (d, grid) =>
-      val table = new CellCounts(d)
-      grid.foreach { case (c, n) => table.add(c.toArray, 0, n.toLong) }
-      val got = AdaWave.calibrate(table, 64)
-      shifts += got._2
-      got == boxedCalibrate(grid, d)
+      val (got, shift) = AdaWave.calibrate(Oracle.flat(d, grid), 64)
+      shifts += shift
+      (Oracle.boxed(got), shift) == boxedCalibrate(grid, d)
     }
     val params = SCTest.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(8L))
     assert(SCTest.check(params, prop).passed)
     assert(shifts == Set(0, 1, 2, 3, 4), s"shifts seen: $shifts")
-    assert(AdaWave.calibrate(new CellCounts(3), 64) == (Map.empty, 0))
+    val (empty, shift) = AdaWave.calibrate(new CellGrid(3), 64)
+    assert(empty.size == 0 && shift == 0)
   }
 
   test("clusterAuto on 2-D equals the paper-default cluster() path") {
@@ -122,14 +122,14 @@ class ClusterAutoSpec extends SparkSpec {
     val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
     val a = AdaWave.clusterAuto(df, Seq("f0", "f1", "f2"), assignNoise = false)
     val b = AdaWave.clusterAuto(df, Seq("f0", "f1", "f2"), assignNoise = false)
-    assert(a.threshold == b.threshold && a.cellLabels == b.cellLabels)
+    assert(a.threshold == b.threshold && Oracle.boxed(a.cellLabels) == Oracle.boxed(b.cellLabels))
   }
 
   test("clusterAuto on an empty frame finds no clusters and labels no rows") {
     val df = ClusterData.toDFn(spark, Array(Array(0.0, 0.0, 0.0)), Array(0)).limit(0)
     val res = AdaWave.clusterAuto(df, Seq("f0", "f1", "f2"), assignNoise = true)
     assert(res.numClusters == 0)
-    assert(res.cellLabels.isEmpty)
+    assert(res.cellLabels.size == 0)
     assert(res.points.count() == 0)
     assert(res.points.columns.contains(AdaWave.ClusterCol))
   }

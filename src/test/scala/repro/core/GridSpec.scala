@@ -10,6 +10,9 @@ import repro.data.ClusterData
 
 class GridSpec extends SparkSpec {
 
+  /** The quantized cells as `{cell → count}`. */
+  private def cells(q: Quantized) = Oracle.boxed(q.grid)
+
   private def df2(pts: Seq[(Double, Double)]) = {
     import spark.implicits._
     pts.toDF("x", "y")
@@ -18,37 +21,37 @@ class GridSpec extends SparkSpec {
   test("quantize assigns known points to the expected cells") {
     val q = Grid.quantize(df2(Seq((0.0, 0.0), (0.99, 0.99), (0.5, 0.25))), Seq("x", "y"), 4)
     // widths = 0.99/4 = 0.2475; 0.5/0.2475 = 2.02 → bin 2; 0.25/0.2475 → 1
-    assert(q.cells(Vector(0, 0)) == 1.0)
-    assert(q.cells(Vector(3, 3)) == 1.0)
-    assert(q.cells(Vector(2, 1)) == 1.0)
+    assert(cells(q)(Vector(0, 0)) == 1.0)
+    assert(cells(q)(Vector(3, 3)) == 1.0)
+    assert(cells(q)(Vector(2, 1)) == 1.0)
   }
 
   test("the maximum value is clamped into the last bin") {
     val q = Grid.quantize(df2(Seq((0.0, 0.0), (1.0, 1.0))), Seq("x", "y"), 8)
-    assert(q.cells(Vector(7, 7)) == 1.0)
+    assert(cells(q)(Vector(7, 7)) == 1.0)
   }
 
   test("constant dimensions collapse to bin 0 without dividing by zero") {
     val q = Grid.quantize(df2(Seq((5.0, 1.0), (5.0, 2.0), (5.0, 3.0))), Seq("x", "y"), 4)
-    assert(q.cells.keys.forall(_.head == 0))
+    assert(cells(q).keys.forall(_.head == 0))
     assert(q.widths(0) == 1.0)
   }
 
   test("cell densities sum to the number of points") {
     val pts = (0 until 500).map(i => (math.sin(i * 0.37) + 1, math.cos(i * 0.53) + 1))
     val q = Grid.quantize(df2(pts), Seq("x", "y"), 16)
-    assert(q.cells.values.sum == 500.0)
+    assert(cells(q).values.sum == 500.0)
   }
 
   test("only non-empty cells are stored (sparse grid labeling)") {
     val q = Grid.quantize(df2(Seq((0.0, 0.0), (1.0, 1.0))), Seq("x", "y"), 128)
-    assert(q.cells.size == 2) // not 128², the paper's memory argument
+    assert(cells(q).size == 2) // not 128², the paper's memory argument
   }
 
   test("quantization is deterministic") {
     val pts = (0 until 200).map(i => (i * 0.017 % 1.0, i * 0.031 % 1.0))
-    val a = Grid.quantize(df2(pts), Seq("x", "y"), 32).cells
-    val b = Grid.quantize(df2(pts), Seq("x", "y"), 32).cells
+    val a = cells(Grid.quantize(df2(pts), Seq("x", "y"), 32))
+    val b = cells(Grid.quantize(df2(pts), Seq("x", "y"), 32))
     assert(a == b)
   }
 
@@ -62,7 +65,7 @@ class GridSpec extends SparkSpec {
     val q = Grid.quantize(raw, Seq("x", "y"), 8)
     val sparkDf = {
       import spark.implicits._
-      q.cells.toSeq.map { case (c, n) => (c(0), c(1), n.toLong) }.toDF("gx", "gy", "cnt")
+      cells(q).toSeq.map { case (c, n) => (c(0), c(1), n.toLong) }.toDF("gx", "gy", "cnt")
     }
     val sql =
       s"""SELECT
@@ -77,8 +80,8 @@ class GridSpec extends SparkSpec {
     import spark.implicits._
     val df = (0 until 50).map(i => (i * 0.02, 1 - i * 0.02, (i % 5) * 0.2)).toDF("a", "b", "c")
     val q = Grid.quantize(df, Seq("a", "b", "c"), 4)
-    assert(q.cells.keys.forall(_.size == 3))
-    assert(q.cells.values.sum == 50.0)
+    assert(cells(q).keys.forall(_.size == 3))
+    assert(cells(q).values.sum == 50.0)
   }
 
   /** A frame of nullable double columns `f0..f{d-1}` in `parts` partitions. */
@@ -179,7 +182,7 @@ class GridSpec extends SparkSpec {
       val q = Grid.quantize(f.df, f.cols, f.bins)
       val counted = f.df.groupBy(cellCol(q, f.cols)).count().collect()
         .map(r => r.getSeq[Int](0).toVector -> r.getLong(1).toDouble).toMap
-      q.cells == counted && q.cells.values.sum == f.rows.length
+      cells(q) == counted && cells(q).values.sum == f.rows.length
     })
   }
 
@@ -222,6 +225,6 @@ class GridSpec extends SparkSpec {
 
   test("quantize on an empty frame has no cells") {
     val q = Grid.quantize(frame(Seq.empty, 3), Seq("f0", "f1", "f2"), 8)
-    assert(q.cells.isEmpty)
+    assert(cells(q).isEmpty)
   }
 }

@@ -2,12 +2,22 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import repro.Oracle
+import repro.Oracle.{Cells, boxed, dwt1D, flat}
 import repro.core.Wavelet._
 
 class WaveletSpec extends AnyFunSuite {
 
   private def check(p: Prop, n: Int = 50): Unit =
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(n), p).passed)
+
+  /** The flat transform of the `d`-dimensional boxed cells `grid`, boxed. */
+  private def transformed(grid: Cells, d: Int, family: Family, levels: Int): Cells =
+    boxed(transform(flat(d, grid), family, levels))
+
+  /** The flat one-dimension pass on the 1-D boxed cells `grid`, boxed. */
+  private def pass1D(grid: Cells, family: Family): Cells =
+    boxed(transformDim(flat(1, grid), 0, family.lowPass, family.center))
 
   test("Haar low-pass sums to 1") { assert(math.abs(Haar.lowPass.sum - 1.0) < 1e-12) }
   test("Daubechies-4 low-pass sums to 1") { assert(math.abs(Daubechies4.lowPass.sum - 1.0) < 1e-12) }
@@ -48,9 +58,8 @@ class WaveletSpec extends AnyFunSuite {
   test("sparse transformDim matches dense dwt1D on 1-D grids") {
     val gen = Gen.listOfN(20, Gen.chooseNum(0.0, 9.0)).map(_.toArray)
     check(Prop.forAll(gen) { dense =>
-      val sparse: Map[Vector[Int], Double] =
-        dense.zipWithIndex.collect { case (v, i) if v != 0.0 => Vector(i) -> v }.toMap
-      val out = transformDim(sparse, 0, CDF22.lowPass, CDF22.center)
+      val sparse = dense.zipWithIndex.collect { case (v, i) if v != 0.0 => Vector(i) -> v }.toMap
+      val out = pass1D(sparse, CDF22)
       val expect = dwt1D(dense, CDF22.lowPass, CDF22.center)
       expect.zipWithIndex.forall { case (v, k) =>
         math.abs(out.getOrElse(Vector(k), 0.0) - v) < 1e-9
@@ -59,16 +68,14 @@ class WaveletSpec extends AnyFunSuite {
   }
 
   test("sparse transform ignores zero cells entirely") {
-    val g = Map(Vector(4) -> 2.0)
-    val out = transformDim(g, 0, Haar.lowPass, Haar.center)
-    assert(out == Map(Vector(2) -> 1.0))
+    assert(pass1D(Map(Vector(4) -> 2.0), Haar) == Map(Vector(2) -> 1.0))
   }
 
   test("2-D transform is separable (Haar, product input)") {
     val f = Array(1.0, 2.0, 3.0, 4.0)
     val g = Array(4.0, 3.0, 2.0, 1.0)
     val grid = (for (i <- f.indices; j <- g.indices) yield Vector(i, j) -> f(i) * g(j)).toMap
-    val out = transform(grid, 2, Haar, 1)
+    val out = transformed(grid, 2, Haar, 1)
     val ff = dwt1D(f, Haar.lowPass)
     val gg = dwt1D(g, Haar.lowPass)
     for (i <- ff.indices; j <- gg.indices) {
@@ -79,15 +86,14 @@ class WaveletSpec extends AnyFunSuite {
   }
 
   test("Haar transform halves total mass per dimension per level") {
-    val grid = (0 until 16).map(i => Vector(i, i % 4) -> (i + 1.0)).toMap
-    val out = transform(grid, 2, Haar, 1)
-    assert(math.abs(out.values.sum - grid.values.sum * 0.25) < 1e-9)
+    val grid = flat(2, (0 until 16).map(i => Vector(i, i % 4) -> (i + 1.0)))
+    assert(math.abs(transform(grid, Haar, 1).values.sum - grid.values.sum * 0.25) < 1e-9)
   }
 
   test("two levels equal two sequential one-level transforms") {
-    val grid = (0 until 32).map(i => Vector(i) -> (math.sin(i / 3.0) + 2.0)).toMap
-    val twice = transform(transform(grid, 1, Daubechies4, 1), 1, Daubechies4, 1)
-    val once2 = transform(grid, 1, Daubechies4, 2)
+    val grid = flat(1, (0 until 32).map(i => Vector(i) -> (math.sin(i / 3.0) + 2.0)))
+    val twice = boxed(transform(transform(grid, Daubechies4, 1), Daubechies4, 1))
+    val once2 = boxed(transform(grid, Daubechies4, 2))
     assert(twice.keySet == once2.keySet)
     twice.foreach { case (k, v) => assert(math.abs(once2(k) - v) < 1e-9) }
   }
@@ -96,81 +102,94 @@ class WaveletSpec extends AnyFunSuite {
     // A 4-cell dense block vs an isolated cell of the same density.
     val block = (8 until 12).map(i => Vector(i) -> 10.0).toMap
     val iso = Map(Vector(20) -> 10.0)
-    val out = transform(block ++ iso, 1, CDF22, 1)
+    val out = transformed(block ++ iso, 1, CDF22, 1)
     val blockPeak = (4 until 6).map(k => out.getOrElse(Vector(k), 0.0)).max
     val isoPeak = out.getOrElse(Vector(10), 0.0)
     assert(blockPeak > isoPeak, s"block $blockPeak should exceed isolated $isoPeak")
   }
 
   test("transform output coordinates are the dyadic shift of inputs") {
-    val grid = Map(Vector(100, 40) -> 1.0)
-    val out = transform(grid, 2, Haar, 1)
+    val out = transformed(Map(Vector(100, 40) -> 1.0), 2, Haar, 1)
     assert(out.keys.forall(c => c(0) == 50 && c(1) == 20))
   }
 
   test("near-zero coefficients are dropped") {
-    val g = Map(Vector(0) -> 1e-13)
-    assert(transformDim(g, 0, Haar.lowPass, Haar.center).isEmpty)
+    assert(pass1D(Map(Vector(0) -> 1e-13), Haar).isEmpty)
   }
 
   test("boundary cell 0 still contributes (zero padding, no crash)") {
-    val out = transformDim(Map(Vector(0) -> 4.0), 0, Haar.lowPass, Haar.center)
-    assert(out == Map(Vector(0) -> 2.0))
+    assert(pass1D(Map(Vector(0) -> 4.0), Haar) == Map(Vector(0) -> 2.0))
   }
 
   test("CDF22 interior mass contribution is one half per point") {
-    val g = Map(Vector(10) -> 1.0, Vector(11) -> 1.0)
-    val out = transformDim(g, 0, CDF22.lowPass, CDF22.center)
+    val out = pass1D(Map(Vector(10) -> 1.0, Vector(11) -> 1.0), CDF22)
     assert(math.abs(out.values.sum - 1.0) < 1e-9)
   }
 
-  /** Integer-count sparse grids with d in 1..33 and d·levels < 40, so the
-    * per-pass filter of `transformDim` never drops a cell.
+  /** Integer-count sparse grids with d in 1..`maxD` and d·levels < 40, so
+    * the per-pass filter of `transformDim` never drops a cell.
     */
-  private val countGrids: Gen[(Int, Int, Map[Cell, Double])] = for {
-    d <- Gen.chooseNum(1, 33)
+  private def countGrids(maxD: Int): Gen[(Int, Int, Cells)] = for {
+    d <- Gen.chooseNum(1, maxD)
     levels <- Gen.chooseNum(1, math.min(3, 39 / d))
     pts <- Gen.nonEmptyListOf(Gen.zip(Gen.listOfN(d, Gen.chooseNum(0, 63)), Gen.chooseNum(1, 5)))
   } yield (d, levels, pts.groupMapReduce(_._1.toVector)(_._2.toDouble)(_ + _))
 
+  /** The chain of `d·levels` boxed per-dimension passes of `family`. */
+  private def chain(grid: Cells, d: Int, family: Family, levels: Int): Cells =
+    (0 until d * levels).foldLeft(grid) { (g, i) =>
+      Oracle.transformDim(g, i % d, family.lowPass, family.center)
+    }
+
   test("Haar transform equals the chain of per-dimension passes exactly") {
-    check(Prop.forAll(countGrids) { case (d, levels, grid) =>
-      val chain = (0 until d * levels).foldLeft(grid) { (g, i) =>
-        transformDim(g, i % d, Haar.lowPass, Haar.center)
-      }
-      transform(grid, d, Haar, levels) == chain
+    check(Prop.forAll(countGrids(33)) { case (d, levels, grid) =>
+      transformed(grid, d, Haar, levels) == chain(grid, d, Haar, levels)
     }, 100)
   }
 
+  test("the flat transform equals the boxed references on integer counts") {
+    // CDF(2,2) values are multiples of 2^-(3·d·levels); d·levels ≤ 12 keeps
+    // them above the 1e-12 filter and exact in a double, so Haar and
+    // CDF(2,2) must match bit for bit. Daubechies-4's taps are irrational,
+    // so a different summation order may move the last bits.
+    check(Prop.forAll(countGrids(6)) { case (d, l, grid) =>
+      val levels = math.min(l, 2)
+      val haar = Oracle.dyadicMerge(grid, levels, math.scalb(1.0, -d * levels))
+      val db4 = chain(grid, d, Daubechies4, levels)
+      val got = transformed(grid, d, Daubechies4, levels)
+      transformed(grid, d, Haar, levels) == haar &&
+        transformed(grid, d, CDF22, levels) == chain(grid, d, CDF22, levels) &&
+        (db4.keySet ++ got.keySet).forall(c => math.abs(got.getOrElse(c, 0.0) - db4.getOrElse(c, 0.0)) <= 1e-12)
+    }, 200)
+  }
+
   test("coarsen is the one-level Haar transform scaled by 2^d") {
-    check(Prop.forAll(countGrids) { case (d, _, grid) =>
+    check(Prop.forAll(countGrids(33)) { case (d, _, grid) =>
       AdaWave.coarsen(grid) ==
-        transform(grid, d, Haar, 1).map { case (c, v) => c -> math.scalb(v, d) }
+        transformed(grid, d, Haar, 1).map { case (c, v) => c -> math.scalb(v, d) }
     }, 100)
   }
 
   test("the flat merge of a count table equals dyadicMerge and keeps the total count") {
-    check(Prop.forAll(countGrids, Gen.chooseNum(1, 6)) { case ((d, _, grid), shift) =>
-      val table = new CellCounts(d)
-      grid.foreach { case (c, n) => table.add(c.toArray, 0, n.toLong) }
-      val merged = table.merged(shift)
-      merged.toMap(1.0) == dyadicMerge(grid, shift, 1.0) &&
-        merged.total == table.total && merged.total == grid.values.sum
+    check(Prop.forAll(countGrids(33), Gen.chooseNum(1, 6)) { case ((d, _, grid), shift) =>
+      val table = flat(d, grid)
+      val merged = table.merged(shift, 1.0)
+      boxed(merged) == Oracle.dyadicMerge(grid, shift, 1.0) &&
+        merged.values.sum == grid.values.sum
     }, 100)
   }
 
   test("Haar keeps one-point cells when d·levels reaches 40") {
     val two = Map(Vector.fill(20)(6) -> 1.0, Vector.fill(20)(40) -> 3.0)
-    assert(transform(two, 20, Haar, 2) ==
+    assert(transformed(two, 20, Haar, 2) ==
       Map(Vector.fill(20)(1) -> math.scalb(1.0, -40), Vector.fill(20)(10) -> math.scalb(3.0, -40)))
     for (d <- Seq(40, 41))
-      assert(transform(Map(Vector.fill(d)(5) -> 1.0), d, Haar, 1) ==
+      assert(transformed(Map(Vector.fill(d)(5) -> 1.0), d, Haar, 1) ==
         Map(Vector.fill(d)(2) -> math.scalb(1.0, -d)))
   }
 
   test("d-dimensional transform applies the 1-D pass d times") {
-    val grid = Map(Vector(4, 4, 4) -> 8.0)
-    val out = transform(grid, 3, Haar, 1)
+    val out = transformed(Map(Vector(4, 4, 4) -> 8.0), 3, Haar, 1)
     // 0.5 per dimension → value 1.0 at (2,2,2).
     assert(math.abs(out(Vector(2, 2, 2)) - 1.0) < 1e-9)
   }
