@@ -61,7 +61,7 @@ final class CellGrid(val d: Int) extends Serializable {
     * each sum is scaled by `weight`. Only cells whose scaled sum is exactly
     * 0 are dropped, so a lone point keeps its cell at any depth.
     */
-  def merged(shift: Int, weight: Double): CellGrid = {
+  private[core] def merged(shift: Int, weight: Double): CellGrid = {
     val sums = new CellGrid(d)
     val cell = new Array[Int](d)
     for (j <- 0 until n) {
@@ -73,14 +73,14 @@ final class CellGrid(val d: Int) extends Serializable {
   }
 
   /** The cells whose value passes `keep`, in row order. */
-  def filter(keep: Double => Boolean): CellGrid = {
+  private[core] def filter(keep: Double => Boolean): CellGrid = {
     val out = new CellGrid(d)
     for (j <- 0 until n if keep(vals(j))) out.add(coords, j * d, vals(j))
     out
   }
 
   /** The same cells with the values `vs`, one per row. */
-  def withValues(vs: Array[Double]): CellGrid = {
+  private[core] def withValues(vs: Array[Double]): CellGrid = {
     val out = new CellGrid(d)
     out.coords = coords.clone()
     out.vals = vs.clone()
@@ -90,14 +90,14 @@ final class CellGrid(val d: Int) extends Serializable {
   }
 
   /** Orders cells `a` and `b` lexicographically by coordinates. */
-  def compareRows(a: Int, b: Int): Int = {
+  private[core] def compareRows(a: Int, b: Int): Int = {
     var i = 0
     while (i < d && coord(a, i) == coord(b, i)) i += 1
     if (i == d) 0 else Integer.compare(coord(a, i), coord(b, i))
   }
 
   /** Boxes the grid as `{cell → value}`. A replay shim (ROADMAP item 1). */
-  def toMap: Map[Vector[Int], Double] =
+  private[core] def toMap: Map[Vector[Int], Double] =
     (0 until n).map(j => Vector.tabulate(d)(coord(j, _)) -> vals(j)).toMap
 
   /** The slot of the cell `cell(off until off + d)`, or the empty slot it would take. */
@@ -135,7 +135,7 @@ final class CellGrid(val d: Int) extends Serializable {
 object CellGrid {
 
   /** Unboxes `{cell → value}` of any dimension. A replay shim (ROADMAP item 1). */
-  def fromMap(cells: Iterable[(Vector[Int], Double)]): CellGrid = {
+  private[core] def fromMap(cells: Iterable[(Vector[Int], Double)]): CellGrid = {
     val g = new CellGrid(cells.headOption.fold(0)(_._1.size))
     for ((c, v) <- cells) g.add(c.toArray, 0, v)
     g
