@@ -17,7 +17,12 @@ import scala.annotation.tailrec
   * @param diagonal    use the Moore neighbourhood for connected components
   * @param assignNoise after clustering, assign noise points to the nearest
   *                    cluster centroid — the paper does exactly this for the
-  *                    real-world (UCI) evaluation where no noise label exists
+  *                    real-world (UCI) evaluation where no noise label exists.
+  *                    The harness runs the pipeline without it and assigns
+  *                    noise on the driver (`Harness.assignNoise`). It remains
+  *                    only for the DataFrame API and the benchmark's replay,
+  *                    which compiles against it, and goes with
+  *                    [[AdaWave.assignNoiseToNearest]] (ROADMAP item 1)
   */
 final case class AdaWaveConfig(
     bins: Int = 128,
@@ -162,6 +167,13 @@ object AdaWave {
     * final AdaWave result to assign any detected noise objects to a 'true'
     * cluster" — i.e. one Lloyd assignment step against the centroids of the
     * discovered clusters `1..k`.
+    *
+    * The harness assigns noise on the driver with `Harness.assignNoise`
+    * instead, which needs no centroid job and no UDF in the label pass.
+    * This Spark version, with `clusterMeans` and `centroidRows`, stays
+    * only for the DataFrame API (`assignNoise = true`) and for the
+    * benchmark's replay, which compiles against it; both go with ROADMAP
+    * item 1.
     */
   def assignNoiseToNearest(labeled: DataFrame, cols: Seq[String], k: Int): DataFrame = {
     val centroids = clusterMeans(labeled, cols, k)

@@ -11,23 +11,27 @@ import repro.data.ClusterData
   */
 object Harness {
 
-  /** AdaWave via the Spark pipeline; returns labels in input row order. */
+  /** AdaWave via the Spark pipeline; returns labels in input row order.
+    * `cfg.assignNoise` is applied to the collected labels by [[assignNoise]].
+    */
   def adaWave(spark: SparkSession, x: Array[Array[Double]], cfg: AdaWaveConfig): Array[Int] =
-    labelsOf(spark, x)(AdaWave.cluster(_, _, cfg))
+    labelsOf(spark, x, cfg.assignNoise)(AdaWave.cluster(_, _, cfg.copy(assignNoise = false)))
 
   /** Parameter-free AdaWave (auto-calibrated resolution, see clusterAuto). */
   def adaWaveAuto(spark: SparkSession, x: Array[Array[Double]], assignNoise: Boolean): Array[Int] =
-    labelsOf(spark, x)(AdaWave.clusterAuto(_, _, assignNoise))
+    labelsOf(spark, x, assignNoise)(AdaWave.clusterAuto(_, _))
 
-  /** `run`'s labels in input row order. No points have no dimension to
-    * cluster on, so they get no labels and run nothing.
+  /** `run`'s labels in input row order, with noise assigned on the driver
+    * when `noise` is set. No points have no dimension to cluster on, so
+    * they get no labels and run nothing.
     */
-  private def labelsOf(spark: SparkSession, x: Array[Array[Double]])
+  private def labelsOf(spark: SparkSession, x: Array[Array[Double]], noise: Boolean)
                       (run: (DataFrame, Seq[String]) => AdaWaveResult): Array[Int] =
     if (x.isEmpty) Array.emptyIntArray
     else {
       val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
-      collectLabels(run(df, x(0).indices.map(i => s"f$i")), x.length)
+      val labels = collectLabels(run(df, x(0).indices.map(i => s"f$i")), x.length)
+      if (noise) assignNoise(x, labels) else labels
     }
 
   private def collectLabels(res: AdaWaveResult, n: Int): Array[Int] = {
@@ -40,23 +44,78 @@ object Harness {
   /** Nearest-centroid assignment of noise (label 0) points — the paper's
     * UCI protocol, applied to every method that emits a noise label so the
     * comparison stays apples-to-apples.
+    *
+    * Clusters are taken in order of first appearance. Each centroid
+    * coordinate accumulates `x(i)(j) / count` in ascending `i`, and a noise
+    * point goes to the first cluster at the least squared distance, with
+    * distances ordered by `java.lang.Double.compare`: a NaN distance loses
+    * to every number.
     */
   def assignNoise(x: Array[Array[Double]], labels: Array[Int]): Array[Int] = {
-    val ids = labels.distinct.filter(_ != 0)
-    if (ids.isEmpty) return labels
+    val n = labels.length
+    // The distinct cluster ids, ascending, in a prefix of `keys`. Ids may
+    // be any Int, so each point finds its id there by binary search.
+    val keys = labels.clone()
+    java.util.Arrays.sort(keys)
+    var k = 0
+    var i = 0
+    while (i < n) {
+      if (keys(i) != 0 && (k == 0 || keys(i) != keys(k - 1))) { keys(k) = keys(i); k += 1 }
+      i += 1
+    }
+    if (k == 0) return labels
+
+    // Each point's slot (-1 for noise); slots number the ids by first appearance.
+    val slotOfKey = Array.fill(k)(-1)
+    val ids = new Array[Int](k)
+    val counts = new Array[Int](k)
+    val slot = new Array[Int](n)
+    var next = 0
+    i = 0
+    while (i < n) {
+      if (labels(i) == 0) slot(i) = -1
+      else {
+        val key = java.util.Arrays.binarySearch(keys, 0, k, labels(i))
+        if (slotOfKey(key) < 0) { slotOfKey(key) = next; ids(next) = labels(i); next += 1 }
+        slot(i) = slotOfKey(key)
+        counts(slot(i)) += 1
+      }
+      i += 1
+    }
+
     val d = x(0).length
-    val slot = ids.zipWithIndex.toMap
-    val counts = new Array[Int](ids.length)
-    for (l <- labels if l != 0) counts(slot(l)) += 1
-    val centroids = Array.ofDim[Double](ids.length, d)
-    for (i <- labels.indices if labels(i) != 0) {
-      val c = slot(labels(i))
-      for (j <- 0 until d) centroids(c)(j) += x(i)(j) / counts(c)
+    val centroids = new Array[Double](k * d)
+    i = 0
+    while (i < n) {
+      val c = slot(i)
+      if (c >= 0) {
+        val xi = x(i)
+        var j = 0
+        while (j < d) { centroids(c * d + j) += xi(j) / counts(c); j += 1 }
+      }
+      i += 1
     }
-    Array.tabulate(labels.length) { i =>
-      if (labels(i) != 0) labels(i)
-      else ids(centroids.indices.minBy(c => LinAlg.sqDist(x(i), centroids(c))))
+
+    val out = labels.clone()
+    i = 0
+    while (i < n) {
+      if (slot(i) < 0) {
+        val xi = x(i)
+        var best = 0
+        var bestDist = 0.0
+        var c = 0
+        while (c < k) {
+          var s = 0.0
+          var j = 0
+          while (j < d) { val t = xi(j) - centroids(c * d + j); s += t * t; j += 1 }
+          if (c == 0 || java.lang.Double.compare(s, bestDist) < 0) { best = c; bestDist = s }
+          c += 1
+        }
+        out(i) = ids(best)
+      }
+      i += 1
     }
+    out
   }
 
   /** DBSCAN at the best AMI over an ε grid (the paper's protocol:

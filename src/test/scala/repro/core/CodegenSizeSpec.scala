@@ -13,8 +13,9 @@ import repro.data.{ClusterData, UciLike}
   * (`-XX:+DontCompileHugeMethods`, `HugeMethodLimit`). Whole-stage codegen
   * puts a stage into one Java method, so every stage of the plans that touch
   * every row must stay under that size: the quantization projection that
-  * both Grid passes read at d = 33 and d = 64, the label and centroid plans
-  * at d = 33.
+  * both Grid passes read at d = 33 and d = 64, the label plan the harness
+  * collects at d = 33 and d = 64, and the full label and centroid plans at
+  * d = 33.
   */
 class CodegenSizeSpec extends SparkSpec {
 
@@ -60,6 +61,11 @@ class CodegenSizeSpec extends SparkSpec {
   check("coordinate")(Grid.coordinateRows(frame, cols))
   check("coordinate", 64)(Grid.coordinateRows(frame64, cols64))
   check("label")(AdaWave.clusterAuto(frame, cols).points)
+  // The plan the harness collects; the full `points` plan is still over the
+  // limit at d = 64 (ROADMAP item 3).
+  check("harness label")(AdaWave.clusterAuto(frame, cols).points.select("id", AdaWave.ClusterCol))
+  check("harness label", 64)(
+    AdaWave.clusterAuto(frame64, cols64).points.select("id", AdaWave.ClusterCol))
   check("label + nearest-centroid")(AdaWave.clusterAuto(frame, cols, assignNoise = true).points)
   check("centroid")(AdaWave.centroidRows(AdaWave.clusterAuto(frame, cols).points, cols))
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.{ClusterData, UciLike}
+import repro.harness.Harness
 import scala.util.Random
 import scala.util.hashing.MurmurHash3
 
@@ -25,8 +26,18 @@ class GoldenSpec extends SparkSpec {
       val labels = Array.ofDim[Int](x.length)
       res.points.select("id", AdaWave.ClusterCol).collect()
         .foreach(r => labels(r.getLong(0).toInt) = r.getInt(1))
-      val got = (res.numClusters, res.threshold, MurmurHash3.arrayHash(GoldenSpec.partition(labels)))
+      val got = (res.numClusters, res.threshold, GoldenSpec.hash(labels))
       assert(got == expect, s"$name: got $got, want $expect")
+    }
+
+  /** A fixture through the harness, which assigns noise on the driver: its
+    * partition must equal the one pinned for the pipeline's own assignment.
+    */
+  private def goldenHarness(name: String, x: Array[Array[Double]], expect: Int)
+                           (call: Array[Array[Double]] => Array[Int]): Unit =
+    test(s"golden through the harness: $name") {
+      val got = GoldenSpec.hash(call(x))
+      assert(got == expect, s"$name: got partition hash $got, want $expect")
     }
 
   private val uci = Map(
@@ -39,10 +50,14 @@ class GoldenSpec extends SparkSpec {
     "Motor" -> (UciLike.motor(), (3, 1.0, 1605310674)),
     "Wholesale" -> (UciLike.wholesale(), (4, 0.017578125, -132719615)))
 
-  for ((name, (ds, expect)) <- uci.toSeq.sortBy(_._1))
+  for ((name, (ds, expect)) <- uci.toSeq.sortBy(_._1)) {
     golden(s"clusterAuto on $name (d = ${ds.d})", UciLike.unitScale(ds.x), expect) {
       (df, cols) => AdaWave.clusterAuto(df, cols, assignNoise = true)
     }
+    goldenHarness(s"adaWaveAuto on $name (d = ${ds.d})", UciLike.unitScale(ds.x), expect._3) {
+      Harness.adaWaveAuto(spark, _, assignNoise = true)
+    }
+  }
 
   for ((noise, expect) <- Seq(0.5 -> (59, 1.6796875, -986258829), 0.8 -> (92, 3.6171875, -21447183)))
     golden(s"cluster on the running example at noise $noise",
@@ -58,12 +73,20 @@ class GoldenSpec extends SparkSpec {
       yield Array.tabulate(7)(j => centers(c)(j) + rnd.nextGaussian() * 0.03)
   }.toArray
 
-  golden("cluster on four 7-D Gaussians (Haar)", gauss7, (4, 0.78515625, 1787476433)) {
+  private val gauss7Expect = (4, 0.78515625, 1787476433)
+
+  golden("cluster on four 7-D Gaussians (Haar)", gauss7, gauss7Expect) {
     (df, cols) => AdaWave.cluster(df, cols, AdaWaveConfig.auto(7, assignNoise = true))
+  }
+
+  goldenHarness("adaWave on four 7-D Gaussians (Haar)", gauss7, gauss7Expect._3) {
+    Harness.adaWave(spark, _, AdaWaveConfig.auto(7, assignNoise = true))
   }
 }
 
 object GoldenSpec {
+
+  def hash(labels: Array[Int]): Int = MurmurHash3.arrayHash(partition(labels))
 
   /** `labels` with noise kept at 0 and the clusters renumbered 1, 2, … in
     * order of first appearance.

@@ -4,7 +4,6 @@ import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import org.apache.spark.JobExecutionStatus
 import repro.{Oracle, SparkSpec}
 import repro.data.ClusterData
 
@@ -184,30 +183,6 @@ class GridSpec extends SparkSpec {
         .map(r => r.getSeq[Int](0).toVector -> r.getLong(1).toDouble).toMap
       cells(q) == counted && cells(q).values.sum == f.rows.length
     })
-  }
-
-  /** The stage names of each Spark job `body` runs, in job order. */
-  private def jobStages(body: => Unit): Seq[Seq[String]] = {
-    val sc = spark.sparkContext
-    val group = s"grid-jobs-${System.nanoTime}"
-    def inGroup(g: String)(run: => Unit): Unit = {
-      sc.setJobGroup(g, g)
-      try run finally sc.clearJobGroup()
-    }
-    inGroup(group)(body)
-    // The status tracker is fed by an asynchronous listener. Events arrive
-    // in order, so once a later marker job reads as finished, every job of
-    // `group` has been recorded.
-    val marker = group + "-marker"
-    inGroup(marker)(sc.parallelize(Seq(1), 1).count())
-    val tracker = sc.statusTracker
-    def markerDone = tracker.getJobIdsForGroup(marker)
-      .exists(id => tracker.getJobInfo(id).exists(_.status == JobExecutionStatus.SUCCEEDED))
-    val deadline = System.nanoTime + 30L * 1000 * 1000 * 1000
-    while (!markerDone && System.nanoTime < deadline) Thread.sleep(10)
-    assert(markerDone, "the status tracker never saw the marker job")
-    tracker.getJobIdsForGroup(group).sorted.toSeq
-      .map(id => tracker.getJobInfo(id).get.stageIds.toSeq.map(s => tracker.getStageInfo(s).get.name))
   }
 
   test("quantize runs two single-stage Spark jobs, so nothing is shuffled") {

@@ -104,6 +104,19 @@ class HarnessSpec extends SparkSpec {
     assert(lines(1).forall(c => c == '-' || c == '|'))
   }
 
+  test("adaWaveAuto with noise assignment runs two Grid jobs and one label job") {
+    val rnd = new Random(5)
+    val centres = Array.fill(3)(Array.fill(5)(rnd.nextDouble()))
+    val x = Array.tabulate(3000)(i => centres(i % 3).map(_ + 0.02 * rnd.nextGaussian()))
+    val jobs = jobStages(Harness.adaWaveAuto(spark, x, assignNoise = true))
+    // The noise is assigned on the driver: no centroid job, no AdaWave.scala job.
+    assert(jobs.size == 3, jobs)
+    val stages = jobs.flatten
+    assert(stages.count(_.startsWith("collect at Grid.scala:")) == 2, jobs)
+    assert(stages.count(_.startsWith("collect at Harness.scala:")) == 1, jobs)
+    assert(!stages.exists(_.contains("AdaWave.scala")), jobs)
+  }
+
   test("adaWave and adaWaveAuto on no points return no labels") {
     val none = Array.empty[Array[Double]]
     assert(Harness.adaWave(spark, none, repro.core.AdaWaveConfig.auto(2)).isEmpty)
