@@ -9,26 +9,30 @@ import scala.util.Random
   */
 object DipMeans {
 
-  def fit(x: Array[Array[Double]], alpha: Double = 0.05, viewerFrac: Double = 0.01,
-          maxK: Int = 12, seed: Long = 42): Array[Int] = {
+  private val Alpha = 0.05      // each viewer's dip-test level
+  private val ViewerFrac = 0.01 // split when a larger share of viewers sees a dip
+  val MaxK = 12                 // splitting stops at this many clusters
+  private val Seed = 42L
+
+  def fit(x: Array[Array[Double]]): Array[Int] = {
     val n = x.length
     if (n == 0) return Array.empty
     var k = 1
     var labels = Array.fill(n)(0)
     var improved = true
-    while (improved && k < maxK) {
+    while (improved && k < MaxK) {
       improved = false
       val splitScores = (0 until k).map { c =>
         val members = labels.indices.filter(labels(_) == c).toArray
-        c -> splitScore(x, members, alpha, seed + c)
+        c -> splitScore(x, members, Seed + c)
       }
-      val candidates = splitScores.filter(_._2 > viewerFrac)
+      val candidates = splitScores.filter(_._2 > ViewerFrac)
       if (candidates.nonEmpty) {
         val (worst, _) = candidates.maxBy(_._2)
         val members = labels.indices.filter(labels(_) == worst).toArray
         if (members.length >= 4) {
           // Split the offending cluster in two, then re-stabilize globally.
-          val sub = KMeans.fit(members.map(x(_)), 2, seed + 17 * k)
+          val sub = KMeans.fit(members.map(x(_)), 2, Seed + 17 * k)
           val newLabels = labels.clone()
           members.zip(sub.labels).foreach { case (i, l) => if (l == 1) newLabels(i) = k }
           k += 1
@@ -41,8 +45,7 @@ object DipMeans {
   }
 
   /** Fraction of sampled viewers whose distance vector is multimodal. */
-  private def splitScore(x: Array[Array[Double]], members: Array[Int],
-                         alpha: Double, seed: Long): Double = {
+  private def splitScore(x: Array[Array[Double]], members: Array[Int], seed: Long): Double = {
     if (members.length < 8) return 0.0
     val rnd = new Random(seed)
     val viewers =
@@ -54,7 +57,7 @@ object DipMeans {
     var significant = 0
     for (v <- viewers) {
       val dists = others.filter(_ != v).map(o => LinAlg.dist(x(v), x(o)))
-      if (DipTest.test(dists).pValue < alpha) significant += 1
+      if (DipTest.test(dists).pValue < Alpha) significant += 1
     }
     significant.toDouble / viewers.length
   }

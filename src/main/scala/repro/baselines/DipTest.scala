@@ -31,16 +31,17 @@ object DipTest {
   final case class Dip(stat: Double, modalLo: Double, modalHi: Double)
   final case class Result(stat: Double, pValue: Double, modalLo: Double, modalHi: Double)
 
-  def test(x: Array[Double], boot: Int = 100): Result = {
-    val s = x.sorted
-    val thinned = if (s.length > 2048) thin(s, 2048) else s
-    val d = dipOfSorted(thinned)
-    Result(d.stat, pValue(d.stat, thinned.length, boot), d.modalLo, d.modalHi)
+  private val MaxN = 2048 // larger samples are thinned to this many points
+  private val Boot = 100  // uniform samples per size bucket of the bootstrap null
+
+  def test(x: Array[Double]): Result = {
+    val d = dip(x)
+    Result(d.stat, pValue(d.stat, math.min(x.length, MaxN)), d.modalLo, d.modalHi)
   }
 
   def dip(x: Array[Double]): Dip = {
     val s = x.sorted
-    dipOfSorted(if (s.length > 2048) thin(s, 2048) else s)
+    dipOfSorted(if (s.length > MaxN) thin(s, MaxN) else s)
   }
 
   /** Dip of an already-sorted sample. */
@@ -166,17 +167,20 @@ object DipTest {
 
   private def bucket(n: Int): Int = {
     var b = 8
-    while (b < n && b < 2048) b *= 2
+    while (b < n && b < MaxN) b *= 2
     b
   }
 
-  /** P[dip of a uniform sample ≥ stat], with √n scaling as the pivot. */
-  def pValue(stat: Double, n: Int, boot: Int = 100): Double = {
+  /** P[dip of a uniform sample ≥ stat], with √n scaling as the pivot. The
+    * null is cached by size bucket alone, which is sound only because
+    * `Boot` is a constant: a per-call count would read another count's null.
+    */
+  def pValue(stat: Double, n: Int): Double = {
     if (n < 4) return 1.0
     val b = bucket(n)
     val nullDips = nullCache.getOrElseUpdate(b, {
       val rnd = new Random(987654321L + b)
-      Array.fill(boot) {
+      Array.fill(Boot) {
         val s = Array.fill(b)(rnd.nextDouble()).sorted
         dipOfSorted(s).stat * math.sqrt(b.toDouble)
       }.sorted

@@ -11,11 +11,13 @@ object EMGMM {
   final case class Model(weights: Array[Double], means: Array[Array[Double]],
                          vars: Array[Array[Double]], labels: Array[Int], logLik: Double)
 
+  private val Tol = 1e-6 // EM stops when the log-likelihood moves by a smaller share
+
   /** @param init "pp" (k-means++ means) or "random" (random data points —
     *   the default of the paper-era provided implementations)
     */
   def fit(x: Array[Array[Double]], k: Int, seed: Long = 42,
-          maxIter: Int = 100, tol: Double = 1e-6, init: String = "pp"): Model = {
+          maxIter: Int = 100, init: String = "pp"): Model = {
     val n = x.length
     val d = x(0).length
     val kk = math.min(k, n)
@@ -67,7 +69,7 @@ object EMGMM {
           vars(c)(j) = math.max(1e-6, v / math.max(nc, 1e-10))
         }
       }
-      converged = math.abs(ll - prevLl) < tol * math.abs(ll)
+      converged = math.abs(ll - prevLl) < Tol * math.abs(ll)
       prevLl = ll
       iter += 1
     }
@@ -75,7 +77,8 @@ object EMGMM {
     Model(weights, means, vars, labels, ll)
   }
 
-  private def logGauss(p: Array[Double], mean: Array[Double], variance: Array[Double]): Double = {
+  /** Natural-log density of a diagonal Gaussian at `p`. */
+  private[baselines] def logGauss(p: Array[Double], mean: Array[Double], variance: Array[Double]): Double = {
     var s = 0.0
     var j = 0
     while (j < p.length) {

@@ -11,19 +11,20 @@ object KMeans {
 
   final case class Model(centroids: Array[Array[Double]], labels: Array[Int], inertia: Double)
 
+  private val MaxIter = 100 // Lloyd iterations per run, unless the labels settle first
+
   /** @param init "pp" (k-means++) or "random" (k distinct random points —
     *   the default of the Weka-era "provided implementations" the paper
     *   benchmarks against; used by the Table I harness)
     */
-  def fit(x: Array[Array[Double]], k: Int, seed: Long = 42, maxIter: Int = 100,
-          restarts: Int = 4, init: String = "pp"): Model = {
+  def fit(x: Array[Array[Double]], k: Int, seed: Long = 42, restarts: Int = 4,
+          init: String = "pp"): Model = {
     require(x.nonEmpty && k >= 1)
     val kk = math.min(k, x.length)
-    (0 until restarts).map(r => fitOnce(x, kk, seed + 1000L * r, maxIter, init)).minBy(_.inertia)
+    (0 until restarts).map(r => fitOnce(x, kk, seed + 1000L * r, init)).minBy(_.inertia)
   }
 
-  private def fitOnce(x: Array[Array[Double]], k: Int, seed: Long, maxIter: Int,
-                      init: String): Model = {
+  private def fitOnce(x: Array[Array[Double]], k: Int, seed: Long, init: String): Model = {
     val rnd = new Random(seed)
     val d = x(0).length
     val centroids =
@@ -32,7 +33,7 @@ object KMeans {
     val labels = Array.ofDim[Int](x.length)
     var changed = true
     var iter = 0
-    while (changed && iter < maxIter) {
+    while (changed && iter < MaxIter) {
       changed = false
       var i = 0
       while (i < x.length) {
@@ -90,6 +91,7 @@ object KMeans {
     centroids
   }
 
+  /** Index of the nearest centroid by squared distance; the first wins a tie. */
   def nearest(p: Array[Double], centroids: Array[Array[Double]]): Int = {
     var best = 0
     var bestD = Double.MaxValue

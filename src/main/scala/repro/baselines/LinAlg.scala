@@ -2,19 +2,23 @@ package repro.baselines
 
 /** Minimal dense linear algebra for the spectral baseline: a cyclic Jacobi
   * eigensolver for real symmetric matrices. O(n³) per sweep — fine for the
-  * ≤ ~1200-point affinity matrices STSC is run on.
+  * ≤ 600-point affinity matrices STSC is run on.
   */
 object LinAlg {
+
+  // Jacobi stops after MaxSweeps sweeps or once the off-diagonal norm is ≤ Tol.
+  private val MaxSweeps = 50
+  private val Tol = 1e-10
 
   /** Eigendecomposition of symmetric `a` (destroyed). Returns
     * (eigenvalues ascending, eigenvectors as columns).
     */
-  def symEig(a: Array[Array[Double]], maxSweeps: Int = 50, tol: Double = 1e-10): (Array[Double], Array[Array[Double]]) = {
+  def symEig(a: Array[Array[Double]]): (Array[Double], Array[Array[Double]]) = {
     val n = a.length
     val v = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
     var sweep = 0
     var off = offDiagNorm(a)
-    while (sweep < maxSweeps && off > tol) {
+    while (sweep < MaxSweeps && off > Tol) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1

@@ -15,11 +15,11 @@ object RIC {
 
   val Noise = 0
 
-  def fit(x: Array[Array[Double]], kInit: Int, seed: Long = 42): Array[Int] = {
+  def fit(x: Array[Array[Double]], kInit: Int): Array[Int] = {
     val n = x.length
     if (n == 0) return Array.empty
     val d = x(0).length
-    val pre = KMeans.fit(x, kInit, seed)
+    val pre = KMeans.fit(x, kInit)
 
     // Uniform background code length per point: log2 volume of bounding box.
     val noiseCost = (0 until d).map { j =>
@@ -27,7 +27,7 @@ object RIC {
       math.log((vals.max - vals.min).max(1e-9)) / math.log(2)
     }.sum
 
-    // Purification: keep a point only where its cluster code is cheaper.
+    // Purification: keep a point only where its cluster code (in bits) is cheaper.
     var labels: Array[Int] = pre.labels.map(_ + 1) // 1-based, 0 = noise
     var clusters = clusterIds(labels)
     for (c <- clusters) {
@@ -35,7 +35,7 @@ object RIC {
       if (members.length > 2 * d) {
         val (mean, varr) = gaussStats(x, members, d)
         for (i <- members)
-          if (-logGauss2(x(i), mean, varr) > noiseCost) labels(i) = Noise
+          if (-EMGMM.logGauss(x(i), mean, varr) / math.log(2) > noiseCost) labels(i) = Noise
       }
     }
 
@@ -73,7 +73,7 @@ object RIC {
     val members = labels.indices.filter(labels(_) == c).toArray
     if (members.isEmpty) return 0.0
     val (mean, varr) = gaussStats(x, members, d)
-    val data = members.map(i => -logGauss2(x(i), mean, varr)).sum
+    val data = members.map(i => -EMGMM.logGauss(x(i), mean, varr) / math.log(2)).sum
     val params = d * (d + 3) / 2.0
     data + 0.5 * params * math.log(members.length.toDouble) / math.log(2)
   }
@@ -85,16 +85,6 @@ object RIC {
     val varr = Array.fill(d)(1e-6)
     for (i <- members; j <- 0 until d) { val dd = x(i)(j) - mean(j); varr(j) += dd * dd / m }
     (mean, varr)
-  }
-
-  /** log2 density of a diagonal Gaussian. */
-  private def logGauss2(p: Array[Double], mean: Array[Double], varr: Array[Double]): Double = {
-    var s = 0.0
-    for (j <- p.indices) {
-      val dd = p(j) - mean(j)
-      s += -0.5 * (math.log(2 * math.Pi * varr(j)) + dd * dd / varr(j))
-    }
-    s / math.log(2)
   }
 
   private def clusterIds(labels: Array[Int]): Array[Int] =

@@ -7,33 +7,29 @@ import scala.util.Random
   * Affinity A_ij = exp(−‖x_i−x_j‖² / (σ_i σ_j)) with the local scale
   * σ_i = distance to the 7th nearest neighbour; the normalized affinity
   * D^{-1/2} A D^{-1/2} is eigendecomposed (cyclic Jacobi), the number of
-  * clusters is chosen by the largest eigengap in 1..kMax, and k-means runs
+  * clusters is chosen by the largest eigengap in 1..KMax, and k-means runs
   * on the row-normalized top-k eigenvector embedding (Ng–Jordan–Weiss).
   *
-  * O(n³) eigensolve: above `cap` points we cluster a deterministic sample
+  * O(n³) eigensolve: above `Cap` points we cluster a deterministic sample
   * and extend labels to the rest by nearest sampled neighbour.
   */
 object STSC {
 
-  def fit(x: Array[Array[Double]], kMax: Int = 8, cap: Int = 600, seed: Long = 42): Array[Int] = {
+  private val KMax = 8
+  private val Cap = 600
+  private val Seed = 42L
+
+  def fit(x: Array[Array[Double]]): Array[Int] = {
     val n = x.length
     if (n == 0) return Array.empty
-    if (n <= cap) return fitSmall(x, kMax, seed)
-    val rnd = new Random(seed)
-    val sampleIdx = rnd.shuffle((0 until n).toVector).take(cap).toArray.sorted
-    val sampleLabels = fitSmall(sampleIdx.map(x(_)), kMax, seed)
-    Array.tabulate(n) { i =>
-      var best = 0
-      var bestD = Double.MaxValue
-      for (s <- sampleIdx.indices) {
-        val dd = LinAlg.sqDist(x(i), x(sampleIdx(s)))
-        if (dd < bestD) { bestD = dd; best = s }
-      }
-      sampleLabels(best)
-    }
+    if (n <= Cap) return fitSmall(x)
+    val rnd = new Random(Seed)
+    val sample = rnd.shuffle((0 until n).toVector).take(Cap).toArray.sorted.map(x(_))
+    val sampleLabels = fitSmall(sample)
+    Array.tabulate(n)(i => sampleLabels(KMeans.nearest(x(i), sample)))
   }
 
-  private def fitSmall(x: Array[Array[Double]], kMax: Int, seed: Long): Array[Int] = {
+  private def fitSmall(x: Array[Array[Double]]): Array[Int] = {
     val n = x.length
     if (n <= 2) return Array.fill(n)(0)
     val d2 = Array.tabulate(n, n)((i, j) => LinAlg.sqDist(x(i), x(j)))
@@ -53,8 +49,8 @@ object STSC {
     val (evals, evecs) = LinAlg.symEig(l)
     // Eigenvalues ascending; the informative ones are the largest.
     val topIdx = (0 until n).sortBy(i => -evals(i)).toArray
-    val kCap = math.min(kMax, n - 1)
-    // Eigengap model selection over k = 2..kMax (k = 1 is excluded: on a
+    val kCap = math.min(KMax, n - 1)
+    // Eigengap model selection over k = 2..KMax (k = 1 is excluded: on a
     // connected affinity graph the trivial top eigenvalue always dominates
     // and would collapse every overlapping dataset to a single cluster).
     val k = {
@@ -67,6 +63,6 @@ object STSC {
       val norm = math.sqrt(row.map(v => v * v).sum)
       if (norm > 1e-12) row.map(_ / norm) else row
     }
-    KMeans.fit(emb, k, seed).labels
+    KMeans.fit(emb, k, Seed).labels
   }
 }

@@ -25,7 +25,9 @@ object SkinnyDip {
 
   val Noise = 0
 
-  def fit(x: Array[Array[Double]], alpha: Double = 0.05): Array[Int] = {
+  private val Alpha = 0.05 // dip-test level, the original's default
+
+  def fit(x: Array[Array[Double]]): Array[Int] = {
     val n = x.length
     if (n == 0) return Array.empty
     val d = x(0).length
@@ -40,7 +42,7 @@ object SkinnyDip {
         return
       }
       val vals = idx.map(i => x(i)(dim))
-      val intervals = uniDip(vals.sorted, alpha)
+      val intervals = uniDip(vals.sorted)
       for ((lo, hi) <- intervals) {
         val sub = idx.filter(i => x(i)(dim) >= lo && x(i)(dim) <= hi)
         // Guard against degenerate slivers.
@@ -53,10 +55,10 @@ object SkinnyDip {
   }
 
   /** Modal intervals of a sorted 1-D sample. */
-  def uniDip(sorted: Array[Double], alpha: Double, depth: Int = 0): List[(Double, Double)] = {
+  def uniDip(sorted: Array[Double], depth: Int = 0): List[(Double, Double)] = {
     if (sorted.length < 8 || depth > 6) return List((sorted.head, sorted.last))
     val r = DipTest.test(sorted)
-    if (r.pValue >= alpha) {
+    if (r.pValue >= Alpha) {
       // Unimodal: keep the modal core, shedding flat tails.
       List(modalCore(sorted))
     } else {
@@ -64,8 +66,8 @@ object SkinnyDip {
         case Some(cut) =>
           val left = sorted.takeWhile(_ <= cut)
           val right = sorted.dropWhile(_ <= cut)
-          val l = if (left.length >= 8) uniDip(left, alpha, depth + 1) else Nil
-          val rr = if (right.length >= 8) uniDip(right, alpha, depth + 1) else Nil
+          val l = if (left.length >= 8) uniDip(left, depth + 1) else Nil
+          val rr = if (right.length >= 8) uniDip(right, depth + 1) else Nil
           val both = l ++ rr
           if (both.isEmpty) List(modalCore(sorted)) else both
         case None => List(modalCore(sorted))

@@ -7,9 +7,9 @@ import scala.annotation.tailrec
 /** Configuration of the AdaWave pipeline.
   *
   * The paper presents AdaWave as parameter-free; [[AdaWaveConfig.auto]]
-  * encodes its defaults (`scale = 128` for 2-D, §V-B) plus a dimension-aware
-  * fallback for higher-dimensional data where 128 bins per dimension would
-  * put every point in its own cell.
+  * encodes its defaults for d ≤ 2 (`scale = 128`, §V-B). For d ≥ 3, where
+  * 128 bins per dimension would put every point in its own cell,
+  * [[AdaWave.clusterAuto]] calibrates the grid to the data instead.
   *
   * @param bins        bins per dimension (the paper's `scale`)
   * @param levels      wavelet decomposition levels (average subband only)
@@ -33,20 +33,13 @@ final case class AdaWaveConfig(
 
 object AdaWaveConfig {
 
-  /** Parameter-free defaults: 128 bins for d ≤ 2 (the paper's `scale`
-    * default), otherwise the finest power-of-two grid that keeps the cell
-    * fan-out bounded in dimension (2^ceil(16/d), between 4 and 128).
+  /** The paper's parameter-free defaults for d ≤ 2: 128 bins (its `scale`
+    * default), CDF(2,2) and the Moore neighbourhood.
     */
-  def auto(d: Int, assignNoise: Boolean = false): AdaWaveConfig = {
-    // Hat-shaped CDF(2,2) smoothing helps 2-D spatial data; in higher d its
-    // 5-tap support fans each cell into ~2.5^d transformed cells and blurs
-    // every cluster into one connected mass, so we fall back to Haar.
-    val bins =
-      if (d <= 2) 128
-      else math.max(4, math.min(128, math.pow(2.0, math.ceil(16.0 / d)).toInt))
-    val family: Wavelet.Family = if (d <= 2) Wavelet.CDF22 else Wavelet.Haar
-    AdaWaveConfig(bins = bins, levels = 1, family = family,
-      diagonal = d <= 2, assignNoise = assignNoise)
+  def auto(d: Int): AdaWaveConfig = {
+    require(d <= 2, s"AdaWaveConfig.auto covers d <= 2; for d = $d use AdaWave.clusterAuto, " +
+      "which calibrates the grid to the data")
+    AdaWaveConfig()
   }
 }
 
@@ -91,11 +84,14 @@ object AdaWave {
     * of dyadic levels to merge (Haar cells nest) so that the occupied-cell
     * count drops below n/3, i.e. cells hold enough points for densities to
     * be meaningful, and take the Haar average subband ([[calibrate]]).
+    * Haar, not CDF(2,2): in higher d the hat filter's 5-tap support fans
+    * each cell into ~2.5^d transformed cells and blurs every cluster into
+    * one connected mass.
     */
   def clusterAuto(df: DataFrame, cols: Seq[String], assignNoise: Boolean = false): AdaWaveResult = {
     val d = cols.size
     if (d <= 2)
-      return cluster(df, cols, AdaWaveConfig.auto(d, assignNoise = assignNoise))
+      return cluster(df, cols, AdaWaveConfig.auto(d).copy(assignNoise = assignNoise))
     val q = Grid.quantize(df, cols, 64)
     val (transformed, shift) = calibrate(q.grid, q.bins)
     run(df, cols, q, transformed, shift + 1, diagonal = false, assignNoise)

@@ -9,9 +9,9 @@ import scala.util.Random
   * comparable *difficulty*. Real tabular data is not an isotropic Gaussian
   * mixture — it has low intrinsic dimension and anisotropic, overlapping
   * classes — so most analogues are **low-rank latent mixtures**: classes
-  * live in a 2–3-dimensional latent space (optionally stretched along a
-  * random direction, i.e. "stripes"), then get embedded into the ambient
-  * d dimensions through a random linear map plus small isotropic noise.
+  * live in a 2–3-dimensional latent space (as blobs or arcs), then get
+  * embedded into the ambient d dimensions through a random linear map plus
+  * small isotropic noise.
   * This keeps EM/k-means honest (their diagonal/spherical models are
   * misspecified), gives grid/density methods contiguous structure to find,
   * and leaves axis projections multimodal only where separation is real.
@@ -30,7 +30,7 @@ object UciLike {
     * the genuinely blob-like datasets (Motor) and axis-aligned cases.
     */
   def gaussMix(name: String, sizes: Array[Int], d: Int, sep: Double, sigma: Double,
-               seed: Long, axisAligned: Boolean = false, skew: Double = 0.0): Dataset = {
+               seed: Long, axisAligned: Boolean = false): Dataset = {
     val rnd = new Random(seed)
     val k = sizes.length
     val means = Array.tabulate(k) { c =>
@@ -42,28 +42,23 @@ object UciLike {
     val pts = Array.newBuilder[Array[Double]]
     val lbl = Array.newBuilder[Int]
     for (c <- 0 until k; _ <- 0 until sizes(c)) {
-      pts += Array.tabulate(d) { j =>
-        val raw = means(c)(j) + rnd.nextGaussian() * sigma
-        if (skew > 0) math.exp(skew * raw) else raw
-      }
+      pts += Array.tabulate(d)(j => means(c)(j) + rnd.nextGaussian() * sigma)
       lbl += c + 1
     }
     Dataset(name, pts.result(), lbl.result())
   }
+
+  private val Eps = 0.03 // sd of the isotropic noise added after embedding
 
   /** Low-rank latent mixture (see object doc).
     *
     * @param latentD intrinsic dimension
     * @param sep     scale of class-mean placement in latent space
     * @param sigma   isotropic latent within-class scale
-    * @param stretch per-class elongation factor along a random latent
-    *                direction (only used by shape "stripe")
-    * @param shape   per-class latent shape: "blob" (spherical Gaussian),
-    *                "stripe" (elongated Gaussian), or "arc" (a circular
-    *                banana of radius ≈ sep — non-convex, the regime where
-    *                centroid/model-based methods break and grid/density
-    *                methods shine)
-    * @param eps     ambient isotropic noise after embedding
+    * @param shape   per-class latent shape: "blob" (spherical Gaussian) or
+    *                "arc" (a circular banana of radius ≈ sep — non-convex,
+    *                the regime where centroid/model-based methods break and
+    *                grid/density methods shine)
     * @param skew    >0 applies exp(skew·x) per coordinate (monotone — keeps
     *                dip/grid structure, misspecifies Gaussian models)
     * @param bgFrac  fraction of points drawn as uniform latent background
@@ -73,9 +68,8 @@ object UciLike {
     * @param means   optional fixed latent means (rows = classes)
     */
   def latentMix(name: String, sizes: Array[Int], d: Int, latentD: Int, sep: Double,
-                sigma: Double, seed: Long, stretch: Double = 1.0, shape: String = "blob",
-                eps: Double = 0.03, skew: Double = 0.0, bgFrac: Double = 0.0,
-                means: Option[Array[Array[Double]]] = None): Dataset = {
+                sigma: Double, seed: Long, shape: String = "blob", skew: Double = 0.0,
+                bgFrac: Double = 0.0, means: Option[Array[Array[Double]]] = None): Dataset = {
     val rnd = new Random(seed)
     val k = sizes.length
     val mu = means.getOrElse {
@@ -84,11 +78,10 @@ object UciLike {
       if (shape == "arc") m.foreach(r => for (l <- 2 until latentD) r(l) *= 0.3)
       m
     }
-    val dirs = Array.fill(k) {
-      val v = Array.fill(latentD)(rnd.nextGaussian())
-      val n = math.sqrt(v.map(a => a * a).sum)
-      v.map(_ / n)
-    }
+    // k·latentD draws that once made the removed "stripe" shape's
+    // directions. They stay so that every dataset's random stream is
+    // unchanged, the benchmark's `derm33d_60k` input included.
+    for (_ <- 0 until k * latentD) rnd.nextGaussian()
     val arcPhase = Array.fill(k)(rnd.nextDouble() * 2 * math.Pi)
     val arcSpan = Array.fill(k)(math.Pi * (0.7 + 0.6 * rnd.nextDouble()))
     val arcRadius = Array.fill(k)(sep * (0.8 + 0.8 * rnd.nextDouble()))
@@ -98,7 +91,7 @@ object UciLike {
     val lbl = Array.newBuilder[Int]
     def embed(z: Array[Double]): Array[Double] =
       Array.tabulate(d) { j =>
-        val raw = (0 until latentD).map(l => w(j)(l) * z(l)).sum + rnd.nextGaussian() * eps
+        val raw = (0 until latentD).map(l => w(j)(l) * z(l)).sum + rnd.nextGaussian() * Eps
         // A monotone exp transform mimics real skewed tabular marginals:
         // it preserves bimodality (dip) and grid/density structure but
         // misspecifies Gaussian-model methods, like real data does.
@@ -107,9 +100,6 @@ object UciLike {
     val coreSizes = sizes.map(s => math.max(1, math.round(s * (1 - bgFrac)).toInt))
     for (c <- 0 until k; _ <- 0 until coreSizes(c)) {
       val z = shape match {
-        case "stripe" =>
-          val t = rnd.nextGaussian() * sigma * (stretch - 1.0)
-          Array.tabulate(latentD)(l => mu(c)(l) + dirs(c)(l) * t + rnd.nextGaussian() * sigma)
         case "arc" =>
           val t = arcPhase(c) + rnd.nextDouble() * arcSpan(c)
           Array.tabulate(latentD) { l =>
@@ -163,7 +153,7 @@ object UciLike {
     latentMix("Glass", Array(70, 76, 17, 13, 9, 29), 9, latentD = 2, sep = 1.2,
       sigma = 0.22, seed = seed, shape = "arc", bgFrac = 0.3)
 
-  /** DUMDH: 4 stripe-shaped classes in rank-3. */
+  /** DUMDH: 4 imbalanced arc-shaped classes in rank-3, 30 % clutter. */
   def dumdh(seed: Long = 14): Dataset =
     latentMix("DUMDH", Array(300, 250, 200, 119), 13, latentD = 3, sep = 1.1,
       sigma = 0.24, seed = seed, shape = "arc", bgFrac = 0.3)

@@ -118,41 +118,30 @@ object Harness {
     out
   }
 
+  private val DbscanMinPts = 8 // the paper's protocol
+  private val DbscanCap = 6000 // above this many points in d > 6, cluster a sample
+  private val DbscanSeed = 42L
+
   /** DBSCAN at the best AMI over an ε grid (the paper's protocol:
     * minPts = 8, ε ∈ grid, report the best run). Large high-dimensional
     * inputs are clustered on a deterministic sample and extended by 1-NN.
     */
   def dbscanBest(x: Array[Array[Double]], truth: Array[Int], epsGrid: Seq[Double],
-                 minPts: Int = 8, score: (Array[Int], Array[Int]) => Double,
-                 cap: Int = 6000, seed: Long = 42): (Array[Int], Double) = {
+                 score: (Array[Int], Array[Int]) => Double): (Array[Int], Double) = {
     val d = x(0).length
     val (xs, restore): (Array[Array[Double]], Array[Int] => Array[Int]) =
-      if (d > 6 && x.length > cap) {
-        val rnd = new scala.util.Random(seed)
-        val idx = rnd.shuffle(x.indices.toVector).take(cap).toArray.sorted
-        val sample = idx.map(x(_))
-        (sample, sub => extend1NN(x, idx, sample, sub))
+      if (d > 6 && x.length > DbscanCap) {
+        val rnd = new scala.util.Random(DbscanSeed)
+        val sample = rnd.shuffle(x.indices.toVector).take(DbscanCap).toArray.sorted.map(x(_))
+        (sample, sub => x.map(p => sub(KMeans.nearest(p, sample))))
       } else (x, identity[Array[Int]] _)
     var best: (Array[Int], Double) = (Array.fill(x.length)(1), Double.NegativeInfinity)
     for (eps <- epsGrid) {
-      val full = restore(DBSCAN.fit(xs, eps, minPts))
+      val full = restore(DBSCAN.fit(xs, eps, DbscanMinPts))
       val s = score(truth, full)
       if (s > best._2) best = (full, s)
     }
     best
-  }
-
-  def extend1NN(x: Array[Array[Double]], sampleIdx: Array[Int],
-                sample: Array[Array[Double]], sampleLabels: Array[Int]): Array[Int] = {
-    Array.tabulate(x.length) { i =>
-      var bestJ = 0
-      var bestD = Double.MaxValue
-      for (j <- sample.indices) {
-        val dd = LinAlg.sqDist(x(i), sample(j))
-        if (dd < bestD) { bestD = dd; bestJ = j }
-      }
-      sampleLabels(bestJ)
-    }
   }
 
   def timeMs[A](body: => A): (A, Double) = {

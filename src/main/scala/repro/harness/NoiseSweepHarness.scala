@@ -39,7 +39,7 @@ object NoiseSweepHarness {
 
     val ada = Harness.adaWave(spark, x, AdaWaveConfig.auto(2))
     val skinny = SkinnyDip.fit(x)
-    val (db, _) = Harness.dbscanBest(x, truth, (1 to 10).map(_ * 0.01), minPts = 8,
+    val (db, _) = Harness.dbscanBest(x, truth, (1 to 10).map(_ * 0.01),
       score = (t, p) => AMI.amiNonNoise(t, p, ClusterData.NoiseLabel))
     // §V-B protocol: k-means/EM get the correct k but otherwise run as the
     // provided implementations' defaults — single runs with random init.

@@ -42,7 +42,7 @@ object RealWorldHarness {
     // unit-scaled data. In high dimensions this grid finds little — visible
     // in the paper's own zero rows for Seeds/HTRU2.
     val (dbPred, _) = Harness.dbscanBest(
-      x, truth, (1 to 20).map(_ * 0.01), minPts = 8,
+      x, truth, (1 to 20).map(_ * 0.01),
       score = (t, p) => AMI.ami(t, Harness.assignNoise(x, p)))
     // The paper runs the *default provided implementations* on the UCI data
     // (only k is set) — Weka-era defaults are a single run with random

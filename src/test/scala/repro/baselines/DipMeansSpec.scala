@@ -40,11 +40,12 @@ class DipMeansSpec extends AnyFunSuite {
 
   test("respects maxK") {
     val rnd = new Random(5)
-    // Ten separated blobs but maxK = 4.
+    // Sixteen separated blobs on a 4 x 4 lattice, more than the cap.
     val x = Array.newBuilder[Array[Double]]
-    for (c <- 0 until 10; _ <- 0 until 60)
-      x += Array(c * 8.0 + rnd.nextGaussian() * 0.3, (c % 3) * 8.0 + rnd.nextGaussian() * 0.3)
-    assert(DipMeans.fit(x.result(), maxK = 4).distinct.length <= 4)
+    for (c <- 0 until 16; _ <- 0 until 60)
+      x += Array((c % 4) * 8.0 + rnd.nextGaussian() * 0.3, (c / 4) * 8.0 + rnd.nextGaussian() * 0.3)
+    val k = DipMeans.fit(x.result()).distinct.length
+    assert(k == DipMeans.MaxK, s"k=$k")
   }
 
   test("empty input") {

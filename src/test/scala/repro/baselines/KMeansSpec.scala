@@ -70,4 +70,19 @@ class KMeansSpec extends AnyFunSuite {
     val m = KMeans.fit(Array(Array(2.0, 3.0)), 1)
     assert(m.labels.sameElements(Array(0)))
   }
+
+  test("nearest extends sample labels to every point by 1-NN") {
+    val x = Array(Array(0.0), Array(0.1), Array(10.0), Array(10.1))
+    val sample = Array(0, 2).map(x(_))
+    val sampleLabels = Array(7, 9)
+    assert(x.map(p => sampleLabels(KMeans.nearest(p, sample))).sameElements(Array(7, 7, 9, 9)))
+  }
+
+  test("nearest breaks a tie toward the first index") {
+    val centroids = Array(Array(1.0, 0.0), Array(0.0, 1.0), Array(-1.0, 0.0), Array(1.0, 0.0))
+    assert(KMeans.nearest(Array(0.0, 0.0), centroids) == 0)
+    assert(KMeans.nearest(Array(1.0, 0.0), centroids) == 0)
+    assert(KMeans.nearest(Array(0.5, 0.5), centroids) == 0)
+    assert(KMeans.nearest(Array(-0.5, 0.5), centroids) == 1)
+  }
 }

@@ -11,7 +11,7 @@ class SkinnyDipSpec extends AnyFunSuite {
     val x = (Array.fill(400)(rnd.nextGaussian() * 0.05) ++
              Array.fill(400)(1.0 + rnd.nextGaussian() * 0.05) ++
              Array.fill(200)(rnd.nextDouble() * 1.4 - 0.2)).sorted
-    val ivs = SkinnyDip.uniDip(x, alpha = 0.05)
+    val ivs = SkinnyDip.uniDip(x)
     assert(ivs.size >= 2, s"got $ivs")
     assert(ivs.exists { case (lo, hi) => lo <= 0.0 && hi >= 0.0 && hi < 0.5 })
     assert(ivs.exists { case (lo, hi) => lo > 0.5 && lo <= 1.0 && hi >= 1.0 })
@@ -21,7 +21,7 @@ class SkinnyDipSpec extends AnyFunSuite {
     val rnd = new Random(2)
     val x = (Array.fill(600)(0.5 + rnd.nextGaussian() * 0.03) ++
              Array.fill(300)(rnd.nextDouble())).sorted
-    val ivs = SkinnyDip.uniDip(x, alpha = 0.05)
+    val ivs = SkinnyDip.uniDip(x)
     assert(ivs.nonEmpty)
     val (lo, hi) = ivs.minBy { case (l, h) => math.abs((l + h) / 2 - 0.5) }
     assert(hi - lo < 0.5, s"core ($lo,$hi) should be much narrower than (0,1)")

@@ -102,7 +102,7 @@ class AdaWaveSpec extends SparkSpec {
 
   test("assignNoise leaves no noise label behind") {
     val (x, _) = blobs(3, 400, 800)
-    val pred = run(x, AdaWaveConfig.auto(2, assignNoise = true))
+    val pred = run(x, AdaWaveConfig.auto(2).copy(assignNoise = true))
     assert(!pred.contains(AdaWave.NoiseLabel))
   }
 
@@ -156,18 +156,16 @@ class AdaWaveSpec extends SparkSpec {
       lbl += c + 1
     }
     val (x, truth) = (pts.result(), lbl.result())
-    val pred = run(x, AdaWaveConfig.auto(7, assignNoise = true))
+    val pred = run(x, AdaWaveConfig(bins = 8, family = Wavelet.Haar, diagonal = false, assignNoise = true))
     val ami = AMI.ami(truth, pred)
     assert(ami > 0.6, s"7-D AMI $ami")
   }
 
-  test("auto config follows the paper's scale default and dimension fallback") {
+  test("auto config is the paper's scale default and refuses d >= 3") {
     assert(AdaWaveConfig.auto(2).bins == 128)
     assert(AdaWaveConfig.auto(2).diagonal)
-    val hd = AdaWaveConfig.auto(9)
-    assert(hd.bins >= 4 && hd.bins <= 16)
-    assert(!hd.diagonal)
-    assert(AdaWaveConfig.auto(33).bins == 4)
+    val e = intercept[IllegalArgumentException](AdaWaveConfig.auto(3))
+    assert(e.getMessage.contains("clusterAuto"))
   }
 
   test("wavelet families other than the default also cluster the blobs") {
@@ -188,7 +186,7 @@ class AdaWaveSpec extends SparkSpec {
 
   test("cluster on an empty frame finds no clusters and labels no rows") {
     val df = ClusterData.toDFn(spark, Array(Array(0.0, 0.0)), Array(0)).limit(0)
-    val res = AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2, assignNoise = true))
+    val res = AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2).copy(assignNoise = true))
     assert(res.numClusters == 0)
     assert(res.cellLabels.size == 0)
     assert(res.points.count() == 0)

@@ -76,11 +76,11 @@ class GoldenSpec extends SparkSpec {
   private val gauss7Expect = (4, 0.78515625, 1787476433)
 
   golden("cluster on four 7-D Gaussians (Haar)", gauss7, gauss7Expect) {
-    (df, cols) => AdaWave.cluster(df, cols, AdaWaveConfig.auto(7, assignNoise = true))
+    (df, cols) => AdaWave.cluster(df, cols, AdaWaveConfig(bins = 8, family = Wavelet.Haar, diagonal = false, assignNoise = true))
   }
 
   goldenHarness("adaWave on four 7-D Gaussians (Haar)", gauss7, gauss7Expect._3) {
-    Harness.adaWave(spark, _, AdaWaveConfig.auto(7, assignNoise = true))
+    Harness.adaWave(spark, _, AdaWaveConfig(bins = 8, family = Wavelet.Haar, diagonal = false, assignNoise = true))
   }
 }
 

@@ -57,20 +57,12 @@ class HarnessSpec extends SparkSpec {
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop).passed)
   }
 
-  test("extend1NN propagates sample labels to all points") {
-    val x = Array(Array(0.0), Array(0.1), Array(10.0), Array(10.1))
-    val sampleIdx = Array(0, 2)
-    val sample = sampleIdx.map(x(_))
-    val out = Harness.extend1NN(x, sampleIdx, sample, Array(7, 9))
-    assert(out.sameElements(Array(7, 7, 9, 9)))
-  }
-
   test("dbscanBest picks the epsilon with the highest score") {
     val rnd = new Random(1)
     val x = Array.fill(200)(Array(0.2 + rnd.nextGaussian() * 0.01, 0.2 + rnd.nextGaussian() * 0.01)) ++
             Array.fill(200)(Array(0.8 + rnd.nextGaussian() * 0.01, 0.8 + rnd.nextGaussian() * 0.01))
     val truth = Array.fill(200)(1) ++ Array.fill(200)(2)
-    val (pred, score) = Harness.dbscanBest(x, truth, Seq(0.0001, 0.05), minPts = 5,
+    val (pred, score) = Harness.dbscanBest(x, truth, Seq(0.0001, 0.05),
       score = (t, p) => AMI.ami(t, p))
     assert(score > 0.9)
     assert(pred.distinct.count(_ != 0) == 2)
