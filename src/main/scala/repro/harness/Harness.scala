@@ -133,7 +133,9 @@ object Harness {
       if (d > 6 && x.length > DbscanCap) {
         val rnd = new scala.util.Random(DbscanSeed)
         val sample = rnd.shuffle(x.indices.toVector).take(DbscanCap).toArray.sorted.map(x(_))
-        (sample, sub => x.map(p => sub(KMeans.nearest(p, sample))))
+        // Which sampled point is nearest does not depend on ε; only its label does.
+        val nearest = x.map(KMeans.nearest(_, sample))
+        (sample, sub => nearest.map(sub(_)))
       } else (x, identity[Array[Int]] _)
     var best: (Array[Int], Double) = (Array.fill(x.length)(1), Double.NegativeInfinity)
     for (eps <- epsGrid) {

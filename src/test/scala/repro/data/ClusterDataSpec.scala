@@ -90,6 +90,70 @@ class ClusterDataSpec extends SparkSpec {
     }
   }
 
+  test("toDFn rejects a row longer than the first, naming it") {
+    val x = Array(Array(0.0, 1.0), Array(2.0, 3.0), Array(4.0, 5.0, 6.0), Array(7.0))
+    val e = intercept[IllegalArgumentException](ClusterData.toDFn(spark, x, Array.fill(4)(0)))
+    assert(e.getMessage.contains("row 2 has 3 coordinates, row 0 has 2"), e.getMessage)
+  }
+
+  test("toDFn rejects a row shorter than the first, naming it") {
+    val x = Array(Array(0.0, 1.0, 2.0), Array(3.0), Array(4.0, 5.0))
+    val e = intercept[IllegalArgumentException](ClusterData.toDFn(spark, x, Array.fill(3)(0)))
+    assert(e.getMessage.contains("row 1 has 1 coordinates, row 0 has 3"), e.getMessage)
+  }
+
+  test("toDFn rejects a label array of another length") {
+    val e = intercept[IllegalArgumentException](
+      ClusterData.toDFn(spark, Array(Array(0.0), Array(1.0)), Array(0)))
+    assert(e.getMessage.contains("1 labels for 2 points"), e.getMessage)
+  }
+
+  test("toDFn rejects more coordinates than one array holds") {
+    val row = new Array[Double](40000)
+    val e = intercept[IllegalArgumentException](
+      ClusterData.toDFn(spark, Array.fill(60000)(row), new Array[Int](60000)))
+    assert(e.getMessage.contains("60000 points of 40000 coordinates exceed one array"), e.getMessage)
+  }
+
+  test("toDFn returns special doubles bit for bit at d = 1 and d = 64, and a single row") {
+    import java.lang.Double.doubleToRawLongBits
+    val specials = Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0,
+      Double.MinPositiveValue, Double.MaxValue, 0.0, -Double.MaxValue)
+    def roundTrip(x: Array[Array[Double]]): Unit = {
+      val y = Array.tabulate(x.length)(i => i * 7 - 3)
+      val rows = ClusterData.toDFn(spark, x, y).collect()
+      assert(rows.length == x.length)
+      val d = x(0).length
+      rows.zipWithIndex.foreach { case (r, i) =>
+        (0 until d).foreach { j =>
+          assert(doubleToRawLongBits(r.getDouble(j)) == doubleToRawLongBits(x(i)(j)), s"row $i col $j")
+        }
+        assert(r.getInt(d) == y(i) && r.getLong(d + 1) == i.toLong, s"row $i")
+      }
+    }
+    roundTrip(specials.map(v => Array(v)))
+    roundTrip(Array.tabulate(3 * specials.length)(i =>
+      Array.tabulate(64)(j => specials((i + j) % specials.length))))
+    roundTrip(Array(Array.tabulate(64)(j => specials(j % specials.length))))
+  }
+
+  test("toDFn's executed plan scans internal rows, with no per-row converter") {
+    import org.apache.spark.sql.execution.RowDataSourceScanExec
+    val (x, y) = ClusterData.runningExample(100, 0.5)
+    val leaves = ClusterData.toDFn(spark, x, y).queryExecution.executedPlan.collectLeaves()
+    assert(leaves.size == 1, leaves)
+    leaves.head match {
+      case s: RowDataSourceScanExec => assert(!s.relation.needConversion)
+      case other => fail(s"leaf is ${other.nodeName}, not a RowDataSourceScanExec")
+    }
+  }
+
+  test("toDFn starts no Spark job, neither building nor planning the frame") {
+    val (x, y) = ClusterData.runningExample(1000, 0.5)
+    val jobs = jobStages(ClusterData.toDFn(spark, x, y).queryExecution.executedPlan)
+    assert(jobs.isEmpty, jobs)
+  }
+
   test("toDFn of no points is an empty frame with label and id") {
     val df = ClusterData.toDFn(spark, Array.empty, Array.empty)
     assert(df.columns.toSeq == Seq("label", "id"))
