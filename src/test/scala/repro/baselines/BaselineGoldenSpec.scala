@@ -39,6 +39,17 @@ class BaselineGoldenSpec extends AnyFunSuite {
   private val (x2, y2) = blobs(4, 150, 2, 0.04, 200, 1)
   private val (x5, _) = blobs(3, 120, 5, 0.05, 60, 2)
 
+  /** `DipMeansSpec`'s sixteen separated blobs on a 4 x 4 lattice: DipMeans
+    * splits up to its `MaxK`, re-running k-means after every split.
+    */
+  private val lattice = {
+    val rnd = new Random(5)
+    val x = Array.newBuilder[Array[Double]]
+    for (c <- 0 until 16; _ <- 0 until 60)
+      x += Array((c % 4) * 8.0 + rnd.nextGaussian() * 0.3, (c / 4) * 8.0 + rnd.nextGaussian() * 0.3)
+    x.result()
+  }
+
   test("golden: KMeans (k-means++, 4 restarts) and (random init, 1 restart)") {
     val pp = KMeans.fit(x2, 4)
     val random = KMeans.fit(x5, 3, restarts = 1, init = "random", seed = 49)
@@ -62,6 +73,8 @@ class BaselineGoldenSpec extends AnyFunSuite {
   golden("SkinnyDip (5-D)", 1155014695)(SkinnyDip.fit(x5))
 
   golden("DipMeans (2-D)", 1047360063)(DipMeans.fit(x2))
+  golden("DipMeans (5-D)", 658259777)(DipMeans.fit(x5))
+  golden("DipMeans on a 16-blob lattice (splits to MaxK)", 1759381574)(DipMeans.fit(lattice))
 
   golden("RIC (kInit = 8, 2-D)", 1891443701)(RIC.fit(x2, 8))
   golden("RIC (kInit = 6, 5-D)", 856424720)(RIC.fit(x5, 6))

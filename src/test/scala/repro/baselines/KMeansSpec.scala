@@ -85,4 +85,10 @@ class KMeansSpec extends AnyFunSuite {
     assert(KMeans.nearest(Array(0.5, 0.5), centroids) == 0)
     assert(KMeans.nearest(Array(-0.5, 0.5), centroids) == 1)
   }
+
+  test("nearest: a NaN distance to the first centroid loses to a finite one") {
+    val centroids = Array(Array(Double.NaN, 0.0), Array(5.0, 5.0), Array(0.0, 0.0))
+    assert(KMeans.nearest(Array(0.0, 0.0), centroids) == 2)
+    assert(KMeans.nearest(Array(4.0, 4.0), centroids) == 1)
+  }
 }
