@@ -13,12 +13,16 @@ object DipMeans {
   private val ViewerFrac = 0.01 // split when a larger share of viewers sees a dip
   val MaxK = 12                 // splitting stops at this many clusters
   private val Seed = 42L
+  private val LloydRounds = 20  // k-means rounds after each split
 
   def fit(x: Array[Array[Double]]): Array[Int] = {
     val n = x.length
     if (n == 0) return Array.empty
     var k = 1
-    var labels = Array.fill(n)(0)
+    val labels = Array.fill(n)(0)
+    // Each cluster's centroid, kept across splits; the first k are in use,
+    // and `KMeans.lloyd` moves them in place.
+    val centroids = new Array[Array[Double]](MaxK)
     var improved = true
     while (improved && k < MaxK) {
       improved = false
@@ -33,10 +37,11 @@ object DipMeans {
         if (members.length >= 4) {
           // Split the offending cluster in two, then re-stabilize globally.
           val sub = KMeans.fit(members.map(x(_)), 2, Seed + 17 * k)
-          val newLabels = labels.clone()
-          members.zip(sub.labels).foreach { case (i, l) => if (l == 1) newLabels(i) = k }
+          members.zip(sub.labels).foreach { case (i, l) => if (l == 1) labels(i) = k }
+          centroids(worst) = sub.centroids(0)
+          centroids(k) = sub.centroids(1)
           k += 1
-          labels = lloydFromLabels(x, newLabels, k)
+          KMeans.lloyd(x, centroids.take(k), labels, LloydRounds)
           improved = true
         }
       }
@@ -60,30 +65,5 @@ object DipMeans {
       if (DipTest.test(dists).pValue < Alpha) significant += 1
     }
     significant.toDouble / viewers.length
-  }
-
-  /** A few Lloyd iterations seeded from the given labeling. */
-  private def lloydFromLabels(x: Array[Array[Double]], labels: Array[Int], k: Int): Array[Int] = {
-    val d = x(0).length
-    val out = labels.clone()
-    for (_ <- 0 until 20) {
-      val sums = Array.ofDim[Double](k, d)
-      val counts = Array.ofDim[Int](k)
-      for (i <- x.indices) {
-        counts(out(i)) += 1
-        for (j <- 0 until d) sums(out(i))(j) += x(i)(j)
-      }
-      val centroids = Array.tabulate(k) { c =>
-        if (counts(c) == 0) x(c % x.length)
-        else Array.tabulate(d)(j => sums(c)(j) / counts(c))
-      }
-      var changed = false
-      for (i <- x.indices) {
-        val l = KMeans.nearest(x(i), centroids)
-        if (l != out(i)) { out(i) = l; changed = true }
-      }
-      if (!changed) return out
-    }
-    out
   }
 }

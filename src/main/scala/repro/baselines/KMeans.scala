@@ -26,14 +26,27 @@ object KMeans {
 
   private def fitOnce(x: Array[Array[Double]], k: Int, seed: Long, init: String): Model = {
     val rnd = new Random(seed)
-    val d = x(0).length
     val centroids =
       if (init == "random") randomInit(x, k, rnd)
       else plusPlusInit(x, k, rnd)
     val labels = Array.ofDim[Int](x.length)
+    lloyd(x, centroids, labels, MaxIter)
+    var inertia = 0.0
+    for (i <- x.indices) inertia += LinAlg.sqDist(x(i), centroids(labels(i)))
+    Model(centroids, labels, inertia)
+  }
+
+  /** Lloyd's iteration in place: assign each point to its [[nearest]]
+    * centroid, then move each non-empty cluster's centroid to its members'
+    * mean, until no label changes or `maxIter` rounds have run.
+    */
+  private[baselines] def lloyd(x: Array[Array[Double]], centroids: Array[Array[Double]],
+                               labels: Array[Int], maxIter: Int): Unit = {
+    val k = centroids.length
+    val d = x(0).length
     var changed = true
     var iter = 0
-    while (changed && iter < MaxIter) {
+    while (changed && iter < maxIter) {
       changed = false
       var i = 0
       while (i < x.length) {
@@ -55,9 +68,6 @@ object KMeans {
         centroids(c)(j) = sums(c)(j) / counts(c)
       iter += 1
     }
-    var inertia = 0.0
-    for (i <- x.indices) inertia += LinAlg.sqDist(x(i), centroids(labels(i)))
-    Model(centroids, labels, inertia)
   }
 
   /** k distinct data points chosen uniformly at random. */
@@ -91,16 +101,28 @@ object KMeans {
     centroids
   }
 
-  /** Index of the nearest centroid by squared distance; the first wins a tie. */
+  /** Index of the nearest centroid by squared distance, with distances
+    * ordered by `java.lang.Double.compare`: the first index wins a tie, and
+    * a NaN distance loses to every number.
+    */
   def nearest(p: Array[Double], centroids: Array[Array[Double]]): Int = {
     var best = 0
-    var bestD = Double.MaxValue
+    var bestD = 0.0
     var c = 0
     while (c < centroids.length) {
       val dd = LinAlg.sqDist(p, centroids(c))
-      if (dd < bestD) { bestD = dd; best = c }
+      if (c == 0 || java.lang.Double.compare(dd, bestD) < 0) { bestD = dd; best = c }
       c += 1
     }
     best
+  }
+
+  /** A deterministic sample of `size` points in input order, and each
+    * point's [[nearest]] sampled index, which extends the sample's labels to
+    * all of `x` by 1-NN.
+    */
+  def subsample(x: Array[Array[Double]], size: Int, seed: Long): (Array[Array[Double]], Array[Int]) = {
+    val sample = new Random(seed).shuffle(x.indices.toVector).take(size).toArray.sorted.map(x(_))
+    (sample, x.map(nearest(_, sample)))
   }
 }

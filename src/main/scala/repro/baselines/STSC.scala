@@ -1,7 +1,5 @@
 package repro.baselines
 
-import scala.util.Random
-
 /** Self-tuning spectral clustering (Zelnik-Manor & Perona 2004).
   *
   * Affinity A_ij = exp(−‖x_i−x_j‖² / (σ_i σ_j)) with the local scale
@@ -23,10 +21,9 @@ object STSC {
     val n = x.length
     if (n == 0) return Array.empty
     if (n <= Cap) return fitSmall(x)
-    val rnd = new Random(Seed)
-    val sample = rnd.shuffle((0 until n).toVector).take(Cap).toArray.sorted.map(x(_))
+    val (sample, nearest) = KMeans.subsample(x, Cap, Seed)
     val sampleLabels = fitSmall(sample)
-    Array.tabulate(n)(i => sampleLabels(KMeans.nearest(x(i), sample)))
+    nearest.map(sampleLabels(_))
   }
 
   private def fitSmall(x: Array[Array[Double]]): Array[Int] = {

@@ -136,51 +136,51 @@ object UciLike {
     * rank-2 structure with real overlap (centroid methods do best, as in
     * the paper's row).
     */
-  def seeds(seed: Long = 11): Dataset =
-    latentMix("Seeds", Array(70, 70, 70), 7, latentD = 2, sep = 0.85, sigma = 0.55, seed,
+  def seeds(): Dataset =
+    latentMix("Seeds", Array(70, 70, 70), 7, latentD = 2, sep = 0.85, sigma = 0.55, seed = 11,
       skew = 0.5, bgFrac = 0.15)
 
   /** Iris: one separated species, two overlapping, rank-2. */
-  def iris(seed: Long = 12): Dataset =
-    latentMix("Iris", Array(50, 50, 50), 4, latentD = 2, sep = 1.0, sigma = 0.5, seed = seed,
+  def iris(): Dataset =
+    latentMix("Iris", Array(50, 50, 50), 4, latentD = 2, sep = 1.0, sigma = 0.5, seed = 12,
       bgFrac = 0.12, means = Some(Array(Array(-2.4, 0.0), Array(0.9, 0.0), Array(1.8, 0.5))))
 
   /** Glass: 6 imbalanced, heavily overlapping arc-shaped classes in rank-2
     * with 30 % background clutter — no attribute separates the classes
     * (Table II) and convex-model methods fragment the arcs.
     */
-  def glass(seed: Long = 13): Dataset =
+  def glass(): Dataset =
     latentMix("Glass", Array(70, 76, 17, 13, 9, 29), 9, latentD = 2, sep = 1.2,
-      sigma = 0.22, seed = seed, shape = "arc", bgFrac = 0.3)
+      sigma = 0.22, seed = 13, shape = "arc", bgFrac = 0.3)
 
   /** DUMDH: 4 imbalanced arc-shaped classes in rank-3, 30 % clutter. */
-  def dumdh(seed: Long = 14): Dataset =
+  def dumdh(): Dataset =
     latentMix("DUMDH", Array(300, 250, 200, 119), 13, latentD = 3, sep = 1.1,
-      sigma = 0.24, seed = seed, shape = "arc", bgFrac = 0.3)
+      sigma = 0.24, seed = 14, shape = "arc", bgFrac = 0.3)
 
   /** HTRU2: 2 heavily imbalanced overlapping classes (pulsar candidates) —
     * every method scores low.
     */
-  def htru2(seed: Long = 15): Dataset =
-    latentMix("HTRU2", Array(16259, 1639), 8, latentD = 2, sep = 1.1, sigma = 0.75, seed,
+  def htru2(): Dataset =
+    latentMix("HTRU2", Array(16259, 1639), 8, latentD = 2, sep = 1.1, sigma = 0.75, seed = 15,
       skew = 0.7, means = Some(Array(Array(0.0, 0.0), Array(2.4, 0.0))))
 
   /** Dermatology: 6 fairly separable but anisotropic classes in rank-3. */
-  def dermatology(seed: Long = 16): Dataset =
+  def dermatology(): Dataset =
     latentMix("Derm.", Array(112, 61, 72, 49, 52, 20), 33, latentD = 3, sep = 1.4,
-      sigma = 0.25, seed = seed, shape = "arc", bgFrac = 0.25)
+      sigma = 0.25, seed = 16, shape = "arc", bgFrac = 0.25)
 
   /** Motor: 3 well-separated classes in 3-D — the easy dataset where most
     * methods reach AMI 1.0.
     */
-  def motor(seed: Long = 17): Dataset =
-    gaussMix("Motor", Array(31, 32, 31), 3, sep = 9.0, sigma = 1.0, seed)
+  def motor(): Dataset =
+    gaussMix("Motor", Array(31, 32, 31), 3, sep = 9.0, sigma = 1.0, seed = 17)
 
   /** Wholesale: 2 classes in 8-D separated along few axes (axis-aligned,
     * unimodal projections — the SkinnyDip-friendly case).
     */
-  def wholesale(seed: Long = 18): Dataset =
-    gaussMix("Whol.", Array(298, 142), 8, sep = 3.4, sigma = 1.0, seed, axisAligned = true)
+  def wholesale(): Dataset =
+    gaussMix("Whol.", Array(298, 142), 8, sep = 3.4, sigma = 1.0, seed = 18, axisAligned = true)
 
   /** Roadmap: the 2-D North-Jutland road network, downscaled (DESIGN.md §3)
     * — dense "city" blobs of *unequal size and spread* plus road polylines
@@ -189,8 +189,8 @@ object UciLike {
     * assign the rest by proximity (AdaWave's nearest-centroid step) win;
     * equal-variance centroid models over/under-split the unequal cities.
     */
-  def roadmap(n: Int = 20000, seed: Long = 19): Dataset = {
-    val rnd = new Random(seed)
+  def roadmap(n: Int = 20000): Dataset = {
+    val rnd = new Random(19)
     val cities = Array(
       (0.15, 0.80), (0.45, 0.85), (0.80, 0.75), (0.25, 0.45),
       (0.60, 0.50), (0.85, 0.30), (0.40, 0.15), (0.10, 0.20))

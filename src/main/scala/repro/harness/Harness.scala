@@ -47,9 +47,8 @@ object Harness {
     *
     * Clusters are taken in order of first appearance. Each centroid
     * coordinate accumulates `x(i)(j) / count` in ascending `i`, and a noise
-    * point goes to the first cluster at the least squared distance, with
-    * distances ordered by `java.lang.Double.compare`: a NaN distance loses
-    * to every number.
+    * point goes to its `KMeans.nearest` centroid: the first cluster at the
+    * least squared distance, where a NaN distance loses to every number.
     */
   def assignNoise(x: Array[Array[Double]], labels: Array[Int]): Array[Int] = {
     val n = labels.length
@@ -84,14 +83,14 @@ object Harness {
     }
 
     val d = x(0).length
-    val centroids = new Array[Double](k * d)
+    val centroids = Array.ofDim[Double](k, d)
     i = 0
     while (i < n) {
       val c = slot(i)
       if (c >= 0) {
         val xi = x(i)
         var j = 0
-        while (j < d) { centroids(c * d + j) += xi(j) / counts(c); j += 1 }
+        while (j < d) { centroids(c)(j) += xi(j) / counts(c); j += 1 }
       }
       i += 1
     }
@@ -99,20 +98,7 @@ object Harness {
     val out = labels.clone()
     i = 0
     while (i < n) {
-      if (slot(i) < 0) {
-        val xi = x(i)
-        var best = 0
-        var bestDist = 0.0
-        var c = 0
-        while (c < k) {
-          var s = 0.0
-          var j = 0
-          while (j < d) { val t = xi(j) - centroids(c * d + j); s += t * t; j += 1 }
-          if (c == 0 || java.lang.Double.compare(s, bestDist) < 0) { best = c; bestDist = s }
-          c += 1
-        }
-        out(i) = ids(best)
-      }
+      if (slot(i) < 0) out(i) = ids(KMeans.nearest(x(i), centroids))
       i += 1
     }
     out
@@ -131,10 +117,8 @@ object Harness {
     val d = x(0).length
     val (xs, restore): (Array[Array[Double]], Array[Int] => Array[Int]) =
       if (d > 6 && x.length > DbscanCap) {
-        val rnd = new scala.util.Random(DbscanSeed)
-        val sample = rnd.shuffle(x.indices.toVector).take(DbscanCap).toArray.sorted.map(x(_))
         // Which sampled point is nearest does not depend on ε; only its label does.
-        val nearest = x.map(KMeans.nearest(_, sample))
+        val (sample, nearest) = KMeans.subsample(x, DbscanCap, DbscanSeed)
         (sample, sub => nearest.map(sub(_)))
       } else (x, identity[Array[Int]] _)
     var best: (Array[Int], Double) = (Array.fill(x.length)(1), Double.NegativeInfinity)

@@ -55,11 +55,12 @@ object NoiseSweepHarness {
       "EM" -> emScore, "K-Means" -> kmScore))
   }
 
-  def run(spark: SparkSession, clusterSize: Int = 1400,
-          noiseLevels: Seq[Int] = Seq(20, 30, 40, 50, 60, 70, 80, 90),
-          seed: Long = 7): Seq[SweepRow] =
-    noiseLevels.map { pct =>
-      val r = evaluate(spark, pct, clusterSize, seed)
+  private val NoiseLevels = Seq(20, 30, 40, 50, 60, 70, 80, 90) // Fig. 8's x-axis, in %
+  private val Seed = 7L // one input stream for every noise level
+
+  def run(spark: SparkSession, clusterSize: Int = 1400): Seq[SweepRow] =
+    NoiseLevels.map { pct =>
+      val r = evaluate(spark, pct, clusterSize, Seed)
       Console.err.println(s"[Fig 8] noise=$pct% done: " +
         Methods.map(m => f"$m=${r.scores(m)}%.3f").mkString(" "))
       r

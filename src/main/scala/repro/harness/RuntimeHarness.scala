@@ -18,26 +18,36 @@ object RuntimeHarness {
 
   final case class RuntimeRow(n: Int, millis: Map[String, Double])
 
+  private val Seed = 7L  // one input stream for every size
+  private val Calls = 3  // timed calls per method and size
+
   def evaluate(spark: SparkSession, totalN: Int, seed: Long): RuntimeRow = {
     val clusterSize = math.max(1, (totalN * 0.25 / ClusterData.NumClusters).toInt)
     val (x, _) = ClusterData.runningExample(clusterSize, 0.75, seed)
     val k = ClusterData.NumClusters
 
-    val (_, tAda) = Harness.timeMs(Harness.adaWave(spark, x, AdaWaveConfig.auto(2)))
-    val (_, tSkinny) = Harness.timeMs(SkinnyDip.fit(x))
-    val (_, tDb) = Harness.timeMs(DBSCAN.fit(x, eps = 0.03, minPts = 8))
-    val (_, tEm) = Harness.timeMs(EMGMM.fit(x, k, maxIter = 30))
-    val (_, tKm) = Harness.timeMs(KMeans.fit(x, k, restarts = 2))
+    val tAda = medianMs(Harness.adaWave(spark, x, AdaWaveConfig.auto(2)))
+    val tSkinny = medianMs(SkinnyDip.fit(x))
+    val tDb = medianMs(DBSCAN.fit(x, eps = 0.03, minPts = 8))
+    val tEm = medianMs(EMGMM.fit(x, k, maxIter = 30))
+    val tKm = medianMs(KMeans.fit(x, k, restarts = 2))
 
     RuntimeRow(x.length, Map(
       "AdaWave" -> tAda, "SkinnyDip" -> tSkinny, "DBSCAN" -> tDb,
       "EM" -> tEm, "K-Means" -> tKm))
   }
 
-  def run(spark: SparkSession, sizes: Seq[Int] = Seq(7000, 14000, 28000, 56000, 112000),
-          seed: Long = 7): Seq[RuntimeRow] =
+  /** The median time of `Calls` calls of `body`. A `System.gc()` first
+    * collects the previous method's garbage outside this method's window.
+    */
+  private def medianMs(body: => Any): Double = {
+    System.gc()
+    Array.fill(Calls)(Harness.timeMs(body)._2).sorted.apply(Calls / 2)
+  }
+
+  def run(spark: SparkSession, sizes: Seq[Int] = Seq(7000, 14000, 28000, 56000, 112000)): Seq[RuntimeRow] =
     sizes.map { n =>
-      val r = evaluate(spark, n, seed)
+      val r = evaluate(spark, n, Seed)
       Console.err.println(s"[Fig 10] n=${r.n} done: " +
         Methods.map(m => f"$m=${r.millis(m)}%.0fms").mkString(" "))
       r
