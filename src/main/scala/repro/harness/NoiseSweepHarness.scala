@@ -31,9 +31,12 @@ object NoiseSweepHarness {
 
   final case class SweepRow(noisePct: Int, scores: Map[String, Double])
 
-  def evaluate(spark: SparkSession, noisePct: Int, clusterSize: Int, seed: Long): SweepRow = {
+  private val NoiseLevels = Seq(20, 30, 40, 50, 60, 70, 80, 90) // Fig. 8's x-axis, in %
+  private val Seed = 7L // one input stream for every noise level
+
+  def evaluate(spark: SparkSession, noisePct: Int, clusterSize: Int): SweepRow = {
     val gamma = noisePct / 100.0
-    val (x, truth) = ClusterData.runningExample(clusterSize, gamma, seed)
+    val (x, truth) = ClusterData.runningExample(clusterSize, gamma, Seed)
     val k = ClusterData.NumClusters
     def score(pred: Array[Int]): Double = AMI.amiNonNoise(truth, pred, ClusterData.NoiseLabel)
 
@@ -55,12 +58,9 @@ object NoiseSweepHarness {
       "EM" -> emScore, "K-Means" -> kmScore))
   }
 
-  private val NoiseLevels = Seq(20, 30, 40, 50, 60, 70, 80, 90) // Fig. 8's x-axis, in %
-  private val Seed = 7L // one input stream for every noise level
-
   def run(spark: SparkSession, clusterSize: Int = 1400): Seq[SweepRow] =
     NoiseLevels.map { pct =>
-      val r = evaluate(spark, pct, clusterSize, Seed)
+      val r = evaluate(spark, pct, clusterSize)
       Console.err.println(s"[Fig 8] noise=$pct% done: " +
         Methods.map(m => f"$m=${r.scores(m)}%.3f").mkString(" "))
       r

@@ -21,9 +21,9 @@ object RuntimeHarness {
   private val Seed = 7L  // one input stream for every size
   private val Calls = 3  // timed calls per method and size
 
-  def evaluate(spark: SparkSession, totalN: Int, seed: Long): RuntimeRow = {
+  def evaluate(spark: SparkSession, totalN: Int): RuntimeRow = {
     val clusterSize = math.max(1, (totalN * 0.25 / ClusterData.NumClusters).toInt)
-    val (x, _) = ClusterData.runningExample(clusterSize, 0.75, seed)
+    val (x, _) = ClusterData.runningExample(clusterSize, 0.75, Seed)
     val k = ClusterData.NumClusters
 
     val tAda = medianMs(Harness.adaWave(spark, x, AdaWaveConfig.auto(2)))
@@ -47,7 +47,7 @@ object RuntimeHarness {
 
   def run(spark: SparkSession, sizes: Seq[Int] = Seq(7000, 14000, 28000, 56000, 112000)): Seq[RuntimeRow] =
     sizes.map { n =>
-      val r = evaluate(spark, n, Seed)
+      val r = evaluate(spark, n)
       Console.err.println(s"[Fig 10] n=${r.n} done: " +
         Methods.map(m => f"$m=${r.millis(m)}%.0fms").mkString(" "))
       r
