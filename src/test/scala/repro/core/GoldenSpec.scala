@@ -59,7 +59,8 @@ class GoldenSpec extends SparkSpec {
     }
   }
 
-  for ((noise, expect) <- Seq(0.5 -> (59, 1.6796875, -986258829), 0.8 -> (92, 3.6171875, -21447183)))
+  for ((noise, expect) <- Seq(0.5 -> (59, 1.6796875, -986258829), 0.8 -> (92, 3.6171875, -21447183),
+                              0.9 -> (113, 6.4140625, 773062847)))
     golden(s"cluster on the running example at noise $noise",
         ClusterData.runningExample(1400, noise, 7)._1, expect) {
       (df, cols) => AdaWave.cluster(df, cols, AdaWaveConfig.auto(2))
