@@ -108,7 +108,9 @@ object DipTest {
     val len = u - m
     val px = Array.tabulate(len)(t => ux(m + t))
     val py = Array.tabulate(len)(t => hi(m + t))
-    val hull = upperHull(px, py)
+    // The upper hull is the lower hull of the mirrored points: negation is
+    // exact, so every cross product only flips its sign.
+    val hull = lowerHull(px, py.map(-_))
     val yAt = evalHull(px, py, hull)
     var dev = 0.0
     var t = 1
@@ -125,16 +127,6 @@ object DipTest {
     val h = ArrayBuffer.empty[Int]
     for (i <- px.indices) {
       while (h.length >= 2 && cross(px, py, h(h.length - 2), h(h.length - 1), i) <= 0)
-        h.remove(h.length - 1)
-      h += i
-    }
-    h.toArray
-  }
-
-  private def upperHull(px: Array[Double], py: Array[Double]): Array[Int] = {
-    val h = ArrayBuffer.empty[Int]
-    for (i <- px.indices) {
-      while (h.length >= 2 && cross(px, py, h(h.length - 2), h(h.length - 1), i) >= 0)
         h.remove(h.length - 1)
       h += i
     }

@@ -8,17 +8,17 @@ package repro.core
   * tail. The paper's heuristic picks the density where the middle segment
   * meets the noise segment.
   *
-  * We implement two estimators:
+  * The estimator is the knee of the normalized curve: the point farthest
+  * *below* the chord from (0, d_max) to (1, d_min), the "Kneedle" rule of
+  * Satopää et al., "Finding a 'Kneedle' in a Haystack" (ICDCSW 2011). On a
+  * signal/middle/noise piecewise-linear curve this is exactly the
+  * middle–noise corner whenever the noise tail dominates the x-axis, which
+  * is the extreme-noise regime AdaWave targets.
   *
-  *  - [[threshold]] (default): the knee of the normalized curve — the point
-  *    with maximal distance *below* the chord from (0, d_max) to (1, d_min).
-  *    On a signal/middle/noise piecewise-linear curve this is exactly the
-  *    middle–noise corner whenever the noise tail dominates the x-axis,
-  *    which is the extreme-noise regime AdaWave targets.
-  *  - [[angleThreshold]]: a faithful rendering of the paper's Algorithm 4 —
-  *    scan the normalized curve with a window and return the density at the
-  *    sharpest turn (minimum angle between the incoming and outgoing
-  *    segments).
+  * The paper's Algorithm 4, a windowed scan for the sharpest turn of the
+  * curve, is not used: in place of this knee it merged the running example
+  * at 90 % noise into one component (Fig. 8 AMI 0.698 → 0.001) and lowered
+  * the Table I mean (EXPERIMENTS.md, "Knee vs Algorithm 4").
   *
   * Cells with density >= the returned threshold are kept.
   */
@@ -50,35 +50,5 @@ object Elbow {
       i += 1
     }
     if (bestIdx == 0) s(0) else (s(bestIdx) + s(bestIdx - 1)) / 2.0
-  }
-
-  /** Algorithm 4: windowed angle scan over the normalized sorted curve. */
-  def angleThreshold(densities: Iterable[Double], window: Int = 0): Double = {
-    val s = densities.toArray.sorted(Ordering[Double].reverse)
-    if (s.length < 3 || s.head == s.last) return if (s.isEmpty) 0.0 else s.last
-    val n = s.length
-    val w = if (window > 0) window else math.max(1, n / 50)
-    val yMax = s.head
-    val yMin = s.last
-    def pt(i: Int): (Double, Double) =
-      (i.toDouble / (n - 1), (s(i) - yMin) / (yMax - yMin))
-    var bestAngle = Double.MaxValue
-    var bestIdx = 0
-    var i = w
-    while (i < n - w) {
-      val (lx, ly) = pt(i - w)
-      val (mx, my) = pt(i)
-      val (rx, ry) = pt(i + w)
-      val a = math.hypot(mx - lx, my - ly)
-      val b = math.hypot(rx - mx, ry - my)
-      if (a > 0 && b > 0) {
-        val cos = ((mx - lx) * (rx - mx) + (my - ly) * (ry - my)) / (a * b)
-        val angle = math.acos(math.max(-1.0, math.min(1.0, cos)))
-        // Sharpest turn = largest angle between consecutive segments.
-        if (math.Pi - angle < bestAngle) { bestAngle = math.Pi - angle; bestIdx = i }
-      }
-      i += w
-    }
-    s(bestIdx)
   }
 }

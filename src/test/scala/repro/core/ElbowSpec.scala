@@ -56,18 +56,6 @@ class ElbowSpec extends AnyFunSuite {
     assert(noise.count(_ >= t) < 250, "almost all noise cells are dropped")
   }
 
-  test("angle-scan variant returns a density inside the observed range") {
-    val ds = Seq.fill(20)(10.0) ++ (0 until 30).map(i => 8.0 - i * 0.2) ++ Seq.fill(400)(1.0)
-    val t = Elbow.angleThreshold(ds)
-    assert(t >= 1.0 && t <= 10.0)
-  }
-
-  test("angle-scan on the ideal L-curve also cuts between the segments") {
-    val ds = Seq.fill(50)(10.0) ++ Seq.fill(450)(1.0)
-    val t = Elbow.angleThreshold(ds)
-    assert(t > 1.0 - 1e-9 && t <= 10.0)
-  }
-
   test("long-tailed curve: only the dense head survives the threshold") {
     val ds = Seq.fill(5)(1000.0) ++ Seq.fill(995)(1.0)
     val t = Elbow.threshold(ds)
