@@ -13,9 +13,14 @@ class RuntimeBench extends SparkSpec {
     val sizes = sys.env.get("ADAWAVE_BENCH_SIZES")
       .map(_.split(",").map(_.trim.toInt).toSeq)
       .getOrElse(Seq(7000, 14000, 28000, 56000, 112000))
-    // Discarded warm-up: the first call pays JIT and Spark start-up, which
-    // would inflate the first row, the growth gate's divisor.
-    RuntimeHarness.run(spark, sizes.take(1))
+    // Discarded warm-up: the first calls pay JIT and Spark start-up, which
+    // would inflate the first row, the growth gate's divisor. Passes over
+    // the two smallest sizes repeat until two in a row agree on AdaWave's
+    // times within 10 %, or five have run.
+    def warmUp() = RuntimeHarness.run(spark, sizes.take(2)).map(_.millis("AdaWave"))
+    Iterator.continually(warmUp()).sliding(2).take(4).find { case Seq(a, b) =>
+      a.zip(b).forall { case (p, q) => math.abs(p - q) <= 0.1 * q }
+    }
     val rows = RuntimeHarness.run(spark, sizes)
     println(RuntimeHarness.render(rows))
 
